@@ -12,9 +12,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -48,8 +46,6 @@ from .exactnum import primes_in_range
 from .expansion import ExpansionClaim, shifted_expansion, verify_expansion
 from .series import ClosedForm, SeriesSpec, numeric_sum, rhs_value
 
-THREADS_ENV = "PADIC_RAMA_THREADS"
-
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
@@ -72,6 +68,21 @@ def _rational(value, where: str) -> Fraction:
     raise SchemaError(f"{where}: expected a rational string, got {type(value).__name__}")
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(f"{where}: expected an integer, got {type(value).__name__}")
+    try:
+        return int(value)
+    except ValueError:
+        raise SchemaError(f"{where}: bad integer {value!r}") from None
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def _load_json(path: Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,6 +95,8 @@ def _load_json(path: Path) -> dict:
 
 
 def _fields(data: dict, where: str, required: Sequence[str]) -> None:
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(data).__name__}")
     for key in required:
         if key not in data:
             raise SchemaError(f"{where}: missing field {key!r}")
@@ -105,17 +118,20 @@ def parse_series(path: Path | str) -> SeriesSpec:
                  _rational(denom[1], f"{where}:denom_linear[1]"))
     return SeriesSpec(
         name=str(data["name"]),
-        upper=tuple(_rational(a, f"{where}:upper") for a in data["upper"]),
-        lower=tuple(_rational(b, f"{where}:lower") for b in data["lower"]),
-        sign=int(data["sign"]),
+        upper=tuple(_rational(a, f"{where}:upper")
+                    for a in _list(data["upper"], f"{where}:upper")),
+        lower=tuple(_rational(b, f"{where}:lower")
+                    for b in _list(data["lower"], f"{where}:lower")),
+        sign=_integer(data["sign"], f"{where}:sign"),
         base=_rational(data["base"], f"{where}:base"),
-        poly=tuple(_rational(c, f"{where}:poly") for c in data["poly"]),
+        poly=tuple(_rational(c, f"{where}:poly")
+                   for c in _list(data["poly"], f"{where}:poly")),
         denom_linear=denom,
         multiplier=_rational(data["multiplier"], f"{where}:multiplier"),
         rhs=ClosedForm(
             coefficient=_rational(rhs["coefficient"], f"{where}:rhs.coefficient"),
-            sqrt_disc=int(rhs.get("sqrt_disc", 1)),
-            pi_exponent=int(rhs.get("pi_exponent", 0)),
+            sqrt_disc=_integer(rhs.get("sqrt_disc", 1), f"{where}:rhs.sqrt_disc"),
+            pi_exponent=_integer(rhs.get("pi_exponent", 0), f"{where}:rhs.pi_exponent"),
         ),
     )
 
@@ -145,13 +161,13 @@ def _template_constant(raw, where: str) -> TemplateConstant:
     if isinstance(raw, dict) and len(raw) == 1:
         (kind, arg), = raw.items()
         if kind == "kron":
-            return Kron(int(arg))
+            return Kron(_integer(arg, f"{where}:kron"))
         if kind == "zeta_p":
-            return ZetaP(int(arg))
+            return ZetaP(_integer(arg, f"{where}:zeta_p"))
         if kind == "l_p":
             if not isinstance(arg, list) or len(arg) != 2:
                 raise SchemaError(f"{where}: l_p takes [disc, k]")
-            return LQp(int(arg[0]), int(arg[1]))
+            return LQp(_integer(arg[0], f"{where}:l_p"), _integer(arg[1], f"{where}:l_p"))
     raise SchemaError(f"{where}: unknown constant {raw!r}")
 
 
@@ -171,12 +187,12 @@ def parse_template(path: Path | str) -> ExpansionTemplate:
     where = path.name
     _fields(data, where, ["mod_power", "terms"])
     terms = []
-    for i, raw in enumerate(data["terms"]):
+    for i, raw in enumerate(_list(data["terms"], f"{where}:terms")):
         _fields(raw, f"{where}:terms[{i}]", ["exponent", "constant", "coefficient"])
         coeff = raw["coefficient"]
         terms.append(
             TemplateTerm(
-                exponent=int(raw["exponent"]),
+                exponent=_integer(raw["exponent"], f"{where}:terms[{i}].exponent"),
                 constant=_template_constant(raw["constant"], f"{where}:terms[{i}]"),
                 coefficient=None if coeff == "?"
                 else _rational(coeff, f"{where}:terms[{i}].coefficient"),
@@ -184,7 +200,7 @@ def parse_template(path: Path | str) -> ExpansionTemplate:
         )
     return ExpansionTemplate(
         terms=tuple(terms),
-        modulus_power=int(data["mod_power"]),
+        modulus_power=_integer(data["mod_power"], f"{where}:mod_power"),
         scale=_rational(data.get("scale", "1"), f"{where}:scale"),
     )
 
@@ -213,15 +229,15 @@ def _claim_constant(raw, where: str) -> ConstantTag:
     if isinstance(raw, dict) and len(raw) == 1:
         (kind, arg), = raw.items()
         if kind == "pi_power":
-            return PiPower(int(arg))
+            return PiPower(_integer(arg, f"{where}:pi_power"))
         if kind == "zeta":
-            return Zeta(int(arg))
+            return Zeta(_integer(arg, f"{where}:zeta"))
         if kind == "sqrt":
-            return SqrtDisc(int(arg))
+            return SqrtDisc(_integer(arg, f"{where}:sqrt"))
         if kind == "l":
             if not isinstance(arg, list) or len(arg) != 2:
                 raise SchemaError(f"{where}: l takes [disc, k]")
-            return Lquad(int(arg[0]), int(arg[1]))
+            return Lquad(_integer(arg[0], f"{where}:l"), _integer(arg[1], f"{where}:l"))
     raise SchemaError(f"{where}: unknown constant {raw!r}")
 
 
@@ -240,23 +256,24 @@ def parse_claims(path: Path | str) -> ClaimsFile:
     where = path.name
     _fields(data, where, ["order", "claims"])
     claims = []
-    for i, raw in enumerate(data["claims"]):
+    for i, raw in enumerate(_list(data["claims"], f"{where}:claims")):
         _fields(raw, f"{where}:claims[{i}]", ["order", "coefficient"])
         claims.append(
             ExpansionClaim(
-                order=int(raw["order"]),
+                order=_integer(raw["order"], f"{where}:claims[{i}].order"),
                 coefficient=_rational(raw["coefficient"],
                                       f"{where}:claims[{i}].coefficient"),
                 constants=tuple(
                     _claim_constant(c, f"{where}:claims[{i}]")
-                    for c in raw.get("constants", [])
+                    for c in _list(raw.get("constants", []),
+                                   f"{where}:claims[{i}].constants")
                 ),
             )
         )
     return ClaimsFile(
         name=str(data.get("name", path.stem)),
         scale=_rational(data.get("scale", "1"), f"{where}:scale"),
-        order=int(data["order"]),
+        order=_integer(data["order"], f"{where}:order"),
         claims=tuple(claims),
         tolerance=data.get("tolerance"),
     )
@@ -299,22 +316,12 @@ def admissible_primes(
     series' denominators, of template discriminants/coefficient/scale parts,
     and primes below a one-digit constant's reach (p >= k+2)."""
     banned = set(exclude)
-    qs = [spec.base, spec.multiplier, *spec.upper, *spec.lower, *spec.poly]
-    if spec.denom_linear is not None:
-        qs.extend(spec.denom_linear)
     min_p = 2
     if tpl is not None:
         banned |= tpl.admissibility_exclusions()
-        qs.append(tpl.scale)
         min_p = tpl.min_prime()
-    out = []
-    for p in primes_in_range(max(lo, min_p), hi):
-        if p in banned:
-            continue
-        if any(q.denominator % p == 0 for q in qs):
-            continue
-        out.append(p)
-    return out
+    return [p for p in primes_in_range(max(lo, min_p), hi)
+            if p not in banned and not spec.is_bad_prime(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +355,6 @@ class RunConfig:
             raise SchemaError("mod-power must be within 1..32")
         if self.out_format not in ("text", "json", "csv"):
             raise SchemaError(f"unknown format {self.out_format!r}")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SchemaError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def _parallel_congruence(
-    spec: SeriesSpec, tpl: ExpansionTemplate, primes: list[int]
-) -> CongruenceReport:
-    threads = _thread_count()
-    if threads <= 1 or len(primes) <= 1:
-        return verify_congruence(spec, tpl, primes)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda p: verify_congruence(spec, tpl, [p]), primes))
-    rows = tuple(sorted((r for rep in partials for r in rep.rows), key=lambda r: r.p))
-    return CongruenceReport(series=spec.name, modulus_power=tpl.modulus_power, rows=rows)
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -481,7 +465,7 @@ def _run_congruence(config: RunConfig) -> int:
         tpl = replace(tpl, modulus_power=config.mod_power)
     primes = admissible_primes(spec, tpl, config.prime_lo, config.prime_hi,
                                config.exclusions)
-    report = _parallel_congruence(spec, tpl, primes)
+    report = verify_congruence(spec, tpl, primes)
     payload = {"command": "congruence", **report.as_dict()}
     if config.out_format == "json":
         _emit_json(config, payload)
@@ -536,12 +520,13 @@ def _parse_candidate(text: str) -> TemplateConstant:
     kind = parts[0]
     if kind == "one" and len(parts) == 1:
         return ONE
+    where = f"candidate {text!r}"
     if kind == "kron" and len(parts) == 2:
-        return Kron(int(parts[1]))
+        return Kron(_integer(parts[1], where))
     if kind == "zeta_p" and len(parts) == 2:
-        return ZetaP(int(parts[1]))
+        return ZetaP(_integer(parts[1], where))
     if kind == "l_p" and len(parts) == 3:
-        return LQp(int(parts[1]), int(parts[2]))
+        return LQp(_integer(parts[1], where), _integer(parts[2], where))
     raise SchemaError(f"bad candidate {text!r} "
                       "(use one, kron:D, zeta_p:K or l_p:D:K)")
 
@@ -653,7 +638,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "primes", None):
         lo, hi = parse_prime_range(args.primes)
     exclusions = tuple(
-        int(x) for x in getattr(args, "exclude", "").split(",") if x.strip()
+        _integer(x, "--exclude") for x in getattr(args, "exclude", "").split(",")
+        if x.strip()
     )
     candidates = tuple(
         c.strip() for c in getattr(args, "candidates", "").split(",") if c.strip()

@@ -20,11 +20,12 @@ from .errors import (
     UnknownCoefficient,
 )
 from .exactnum import (
-    PadicResidue,
     ResidueClass,
     crt_combine,
     kronecker,
+    prime_factors,
     rational_reconstruct,
+    valuation,
 )
 from .lfunctions import L_p_mod_p, QuadCharacter, zeta_p_mod_p
 from .series import SeriesSpec, truncated_sum_mod
@@ -165,11 +166,11 @@ class ExpansionTemplate:
         for t in self.terms:
             disc = _constant_disc(t.constant)
             if disc is not None:
-                out.update(_prime_factors(abs(disc)))
+                out.update(prime_factors(disc))
             if t.coefficient is not None:
-                out.update(_prime_factors(t.coefficient.denominator))
-        out.update(_prime_factors(self.scale.denominator))
-        out.update(_prime_factors(self.scale.numerator))
+                out.update(prime_factors(t.coefficient.denominator))
+        out.update(prime_factors(self.scale.denominator))
+        out.update(prime_factors(self.scale.numerator))
         return out
 
     def min_prime(self) -> int:
@@ -182,43 +183,26 @@ class ExpansionTemplate:
         return lo
 
 
-def _prime_factors(n: int) -> set[int]:
-    n = abs(n)
-    out = set()
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.add(n)
-    return out
+def _term_mod(term: TemplateTerm, p: int, k: int) -> int:
+    """coefficient * constant(p) * p^exponent modulo p^k, computed at width
+    k - exponent: a one-digit constant (zeta_p, L_p) is exact there only when
+    that width is 1, which the template invariants guarantee."""
+    if is_structural_zero(term.constant):
+        return 0
+    coeff = term.coefficient
+    if coeff.denominator % p == 0:
+        raise BadPrime(f"p={p} divides a template coefficient denominator")
+    pw = p ** (k - term.exponent)
+    c = constant_mod_p(term.constant, p)
+    return coeff.numerator * pow(coeff.denominator, -1, pw) * c % pw * p**term.exponent
 
 
-def template_rhs_mod(tpl: ExpansionTemplate, p: int) -> PadicResidue:
-    """Evaluate the template right side modulo p^M.  One-digit constants
-    (zeta_p, L_p) enter at slot e with M - e = 1, so a single digit is all
-    the modulus can see.
-    """
+def template_rhs_mod(tpl: ExpansionTemplate, p: int) -> int:
+    """The template right side as an integer in [0, p^M)."""
     if not tpl.fully_known:
         raise UnknownCoefficient("template has unresolved coefficients")
     M = tpl.modulus_power
-    pM = p**M
-    total = 0
-    for t in tpl.terms:
-        width = M - t.exponent
-        if is_structural_zero(t.constant):
-            continue
-        c = constant_mod_p(t.constant, p)
-        coeff = t.coefficient
-        if coeff.denominator % p == 0:
-            raise BadPrime(f"p={p} divides a template coefficient denominator")
-        pw = p**width
-        r = coeff.numerator * pow(coeff.denominator, -1, pw) % pw
-        total = (total + r * c % pw * p**t.exponent) % pM
-    return PadicResidue.from_int_mod(total, p, M)
+    return sum(_term_mod(t, p, M) for t in tpl.terms) % p**M
 
 
 @dataclass(frozen=True)
@@ -273,12 +257,12 @@ class CongruenceReport:
         }
 
 
-def _int_val_capped(x: int, p: int, cap: int) -> int:
-    v = 0
-    while v < cap and x % p == 0:
-        x //= p
-        v += 1
-    return v
+def _row(p: int, lhs: int, rhs: int, M: int) -> CongruenceRow:
+    """One computed row; lhs and rhs are residues in [0, p^M)."""
+    if lhs == rhs:
+        return CongruenceRow(p=p, lhs=lhs, rhs=rhs, passed=True, defect_valuation=None)
+    return CongruenceRow(p=p, lhs=lhs, rhs=rhs, passed=False,
+                         defect_valuation=valuation(lhs - rhs, p))
 
 
 def verify_congruence(
@@ -296,20 +280,14 @@ def verify_congruence(
     for p in sorted(primes):
         try:
             lhs = truncated_sum_mod(scaled, p, M).residue(M)
-            rhs = template_rhs_mod(tpl, p).residue(M)
+            rhs = template_rhs_mod(tpl, p)
         except (BadPrime, PrecisionUnavailable) as exc:
             rows.append(
                 CongruenceRow(p=p, lhs=None, rhs=None, passed=False,
                               defect_valuation=None, note=str(exc))
             )
             continue
-        if lhs == rhs:
-            rows.append(CongruenceRow(p=p, lhs=lhs, rhs=rhs, passed=True,
-                                      defect_valuation=None))
-        else:
-            dv = _int_val_capped((lhs - rhs) % p**M, p, M)
-            rows.append(CongruenceRow(p=p, lhs=lhs, rhs=rhs, passed=False,
-                                      defect_valuation=dv))
+        rows.append(_row(p, lhs, rhs, M))
     return CongruenceReport(series=spec.name, modulus_power=M, rows=tuple(rows))
 
 
@@ -348,6 +326,36 @@ class FitResult:
         return self.held_out_report is None or self.held_out_report.all_pass
 
 
+def _recover(
+    term: TemplateTerm, w: int, residual: Mapping[int, int], primes: Sequence[int]
+) -> Fraction:
+    """The rational coefficient of ``term`` from the residuals' digits
+    p^e .. p^(e+w-1) at every prime: CRT, then rational reconstruction."""
+    e = term.exponent
+    classes = []
+    for p in primes:
+        r = residual[p]
+        if r % p**e != 0:
+            raise InconsistentResidues(
+                f"residual at p={p} has valuation below the slot p^{e}"
+            )
+        c = constant_mod_p(term.constant, p)
+        if c % p == 0:
+            continue  # this prime carries no information for the coefficient
+        pw = p**w
+        classes.append(ResidueClass(r // p**e * pow(c, -1, pw) % pw, pw))
+    if not classes:
+        raise ReconstructionFailed("no prime constrained the coefficient")
+    combined = crt_combine(classes)
+    value = rational_reconstruct(combined)
+    if value is None:
+        raise ReconstructionFailed(
+            f"no bounded rational matches residue class mod {combined.modulus}; "
+            "increase the prime count"
+        )
+    return value
+
+
 def fit_unknowns(
     spec: SeriesSpec,
     tpl: ExpansionTemplate,
@@ -380,58 +388,30 @@ def fit_unknowns(
     if work.fully_known:
         raise ValueError("template has no unknown coefficients to fit")
 
-    primes = sorted(set(primes))
-    if len(primes) < 2:
-        raise ValueError("need at least two primes")
-    n_held = max(1, int(round(held_out_fraction * len(primes))))
-    fit_primes, held_out = primes[:-n_held], primes[-n_held:]
-
     M = work.modulus_power
-    residues = _lhs_residues(spec, work, fit_primes, lhs, M)
     exps = [t.exponent for t in work.terms]
     windows = [b - a for a, b in zip(exps, exps[1:])] + [M - exps[-1]]
-
-    recovered: list[Fraction] = []
-    residual = dict(residues)
-    for idx, term in enumerate(work.terms):
-        e, w = term.exponent, windows[idx]
-        if term.known:
+    primes = sorted(set(primes))
+    while True:
+        if len(primes) < 2:
+            raise ValueError("need at least two primes")
+        n_held = max(1, int(round(held_out_fraction * len(primes))))
+        fit_primes, held_out = primes[:-n_held], primes[-n_held:]
+        residual = _lhs_residues(spec, work, fit_primes, lhs, M)
+        recovered: list[Fraction] = []
+        for term, w in zip(work.terms, windows):
+            if not term.known:
+                value = _recover(term, w, residual, fit_primes)
+                if any(value.denominator % p == 0 for p in primes):
+                    break
+                recovered.append(value)
+                term = replace(term, coefficient=value)
             for p in fit_primes:
-                residual[p] = _subtract_term(residual[p], term, p, M)
-            continue
-        classes = []
-        for p in fit_primes:
-            r = residual[p]
-            if r % p**e != 0:
-                raise InconsistentResidues(
-                    f"residual at p={p} has valuation below the slot p^{e}"
-                )
-            c = constant_mod_p(term.constant, p)
-            if c % p == 0:
-                continue  # this prime carries no information for r_i
-            pw = p**w
-            q = r // p**e * pow(c, -1, pw) % pw
-            classes.append(ResidueClass(q, pw))
-        if not classes:
-            raise ReconstructionFailed("no prime constrained the coefficient")
-        combined = crt_combine(classes)
-        value = rational_reconstruct(combined)
-        if value is None:
-            raise ReconstructionFailed(
-                f"no bounded rational matches residue class mod {combined.modulus}; "
-                "increase the prime count"
-            )
-        bad = [p for p in primes if value.denominator % p == 0]
-        if bad:
-            # re-run without the primes dividing the recovered denominator
-            return fit_unknowns(
-                spec, tpl, [p for p in primes if p not in bad],
-                held_out_fraction=held_out_fraction, lhs=lhs,
-            )
-        recovered.append(value)
-        solved = replace(term, coefficient=value)
-        for p in fit_primes:
-            residual[p] = _subtract_term(residual[p], solved, p, M)
+                residual[p] = (residual[p] - _term_mod(term, p, M)) % p**M
+        else:
+            break  # no recovered denominator meets the range
+        # refit without the range primes dividing the recovered denominator
+        primes = [p for p in primes if value.denominator % p != 0]
 
     for p in fit_primes:
         if residual[p] % p**M != 0:
@@ -444,16 +424,10 @@ def fit_unknowns(
     if held_out and lhs is None:
         report = verify_congruence(spec, completed, held_out)
     elif held_out:
-        rows = []
         ho = _lhs_residues(spec, completed, held_out, lhs, M)
-        for p in held_out:
-            rhs = template_rhs_mod(completed, p).residue(M)
-            ok = ho[p] == rhs
-            dv = None if ok else _int_val_capped((ho[p] - rhs) % p**M, p, M)
-            rows.append(CongruenceRow(p=p, lhs=ho[p], rhs=rhs, passed=ok,
-                                      defect_valuation=dv))
-        report = CongruenceReport(series=spec.name, modulus_power=M,
-                                  rows=tuple(rows))
+        rows = tuple(_row(p, ho[p], template_rhs_mod(completed, p), M)
+                     for p in held_out)
+        report = CongruenceReport(series=spec.name, modulus_power=M, rows=rows)
     return FitResult(
         coefficients=tuple(recovered),
         template=completed,
@@ -461,14 +435,6 @@ def fit_unknowns(
         held_out_primes=tuple(held_out),
         held_out_report=report,
     )
-
-
-def _subtract_term(residual: int, term: TemplateTerm, p: int, M: int) -> int:
-    width = M - term.exponent
-    pw = p**width
-    c = constant_mod_p(term.constant, p)
-    r = term.coefficient.numerator * pow(term.coefficient.denominator, -1, pw) % pw
-    return (residual - r * c % pw * p**term.exponent) % p**M
 
 
 @dataclass(frozen=True)
@@ -558,7 +524,7 @@ def scan_next_term(
     defects: dict[int, int] = {}
     for p in primes:
         lhs = truncated_sum_mod(scaled, p, limit).residue(limit)
-        rhs = _exact_template_value(deep, p, limit)
+        rhs = template_rhs_mod(deep, p)
         defects[p] = (lhs - rhs) % p**limit
 
     exponent = None
@@ -619,17 +585,3 @@ def scan_next_term(
         digits=digits,
         candidates=tuple(fits),
     )
-
-
-def _exact_template_value(tpl: ExpansionTemplate, p: int, mod_power: int) -> int:
-    """Template value mod p^mod_power; valid only when every constant is
-    exact (One/Kron) -- callers must have checked."""
-    pM = p**mod_power
-    total = 0
-    for t in tpl.terms:
-        if is_structural_zero(t.constant):
-            continue
-        c = constant_mod_p(t.constant, p)
-        r = t.coefficient.numerator * pow(t.coefficient.denominator, -1, pM) % pM
-        total = (total + r * c % pM * p**t.exponent) % pM
-    return total

@@ -80,17 +80,6 @@ class PadicResidue:
     def exact_zero(cls, p: int) -> "PadicResidue":
         return cls(p=p, is_zero=True)
 
-    @classmethod
-    def from_int_mod(cls, value: int, p: int, mod_power: int) -> "PadicResidue":
-        """The class of an integer known modulo p^mod_power."""
-        if mod_power < 1:
-            raise ValueError("mod_power must be >= 1")
-        r = value % p**mod_power
-        if r == 0:
-            return cls(p=p, v=mod_power, u=0, m=0)
-        v = _int_valuation(r, p)
-        return cls(p=p, v=v, u=(r // p**v) % p ** (mod_power - v), m=mod_power - v)
-
     @property
     def abs_prec(self) -> float:
         """Absolute precision: the value is known modulo p^abs_prec."""
@@ -312,20 +301,20 @@ def rational_reconstruct(r: ResidueClass) -> Optional[Fraction]:
     return q
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (intended for n < 10^12)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def prime_factors(n: int) -> set[int]:
+    """The distinct primes dividing n, by trial division (empty for 0 and +-1)."""
+    n = abs(n)
+    out = set()
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.add(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.add(n)
+    return out
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

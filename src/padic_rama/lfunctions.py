@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BadPrime, InvariantViolation, PrecisionUnavailable
-from .exactnum import kronecker
+from .exactnum import kronecker, prime_factors
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _bernoulli_lock = threading.Lock()
@@ -102,15 +102,7 @@ def zeta_nonpositive(s: int) -> Fraction:
 
 
 def _squarefree(n: int) -> bool:
-    n = abs(n)
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        while n % f == 0:
-            n //= f
-        f += 1
-    return True
+    return all(n % (q * q) != 0 for q in prime_factors(n))
 
 
 @dataclass(frozen=True)

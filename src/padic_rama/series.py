@@ -85,6 +85,12 @@ class SeriesSpec:
                     "denom_linear", "alpha*n + beta vanishes at an integer n >= 0"
                 )
 
+    def is_bad_prime(self, p: int) -> bool:
+        """True when the prime p divides the denominator of a series datum."""
+        qs = [self.base, self.multiplier, *self.upper, *self.lower, *self.poly,
+              *(self.denom_linear or ())]
+        return any(q.denominator % p == 0 for q in qs)
+
     def scaled(self, scale: Fraction) -> "SeriesSpec":
         """Same series with the global prefactor multiplied by ``scale``."""
         if scale == 1:
@@ -146,13 +152,6 @@ def truncated_sum_exact(spec: SeriesSpec, p: int) -> Fraction:
     return total
 
 
-def _denominator_divisible(spec: SeriesSpec, p: int) -> bool:
-    qs = [spec.base, spec.multiplier, *spec.upper, *spec.lower, *spec.poly]
-    if spec.denom_linear is not None:
-        qs.extend(spec.denom_linear)
-    return any(q.denominator % p == 0 for q in qs)
-
-
 def truncated_sum_mod(spec: SeriesSpec, p: int, m: int) -> PadicResidue:
     """The truncated sum as a residue with absolute precision >= m.
 
@@ -163,7 +162,7 @@ def truncated_sum_mod(spec: SeriesSpec, p: int, m: int) -> PadicResidue:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if _denominator_divisible(spec, p):
+    if spec.is_bad_prime(p):
         raise BadPrime(f"p={p} divides a structural denominator of {spec.name}")
     guard = _GUARD_START
     while True:

@@ -130,12 +130,11 @@ class TestCommands:
         assert lines[0] == "p,lhs,rhs,pass,defect_valuation"
         assert lines[1].startswith("5,")
 
-    def test_json_reports_deterministic(self, tmp_path, monkeypatch):
+    def test_json_reports_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["congruence", "--spec", "eq15", "--template", "eq16",
                 "--primes", "7..80", "--format", "json"]
         assert main(args + ["--output", str(a)]) == EXIT_OK
-        monkeypatch.setenv("PADIC_RAMA_THREADS", "4")
         assert main(args + ["--output", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
@@ -193,7 +192,42 @@ class TestCommands:
                      "--primes", "5..60", "--candidates", "zeta_p:101"])
         assert code == EXIT_PRECISION
 
-    def test_threads_env_validated(self, monkeypatch):
-        monkeypatch.setenv("PADIC_RAMA_THREADS", "lots")
-        assert main(["congruence", "--spec", "eq2", "--template", "eq5",
-                     "--primes", "5..30"]) == EXIT_USAGE
+
+# (fixture to corrupt, key path into it, bad value) or (None, option, bad value)
+MALFORMED = [
+    ("eq2", ("sign",), "minus"),
+    ("eq2", ("upper",), 5),
+    ("eq2", ("poly",), None),
+    ("eq2", ("rhs", "sqrt_disc"), "x"),
+    ("eq5", ("terms", 0, "constant"), {"kron": "x"}),
+    ("eq5", ("mod_power",), "six"),
+    ("eq5", ("terms", 0, "exponent"), "two"),
+    ("eq3-claims", ("order",), "x"),
+    (None, "--exclude", "a"),
+    (None, "--candidates", "zeta_p:x"),
+]
+
+
+@pytest.mark.parametrize("fixture, key, value", MALFORMED,
+                         ids=[f"{f or 'cli'}:{k}={v!r}" for f, k, v in MALFORMED])
+def test_malformed_input_exits_usage(tmp_path, capsys, fixture, key, value):
+    primes = ["--primes", "5..30"]
+    if fixture is None:
+        options = {"--candidates": "one", key: value}
+        argv = ["scan", "--spec", "eq6", "--template", "eq8", *primes,
+                *(x for item in options.items() for x in item)]
+    else:
+        data = json.loads((FIXDIR / f"{fixture}.json").read_text())
+        node = data
+        for k in key[:-1]:
+            node = node[k]
+        node[key[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = {
+            "eq2": ["sum-check", "--spec", str(bad)],
+            "eq5": ["congruence", "--spec", "eq2", "--template", str(bad), *primes],
+            "eq3-claims": ["expand", "--spec", "eq2", "--verify", str(bad)],
+        }[fixture]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")

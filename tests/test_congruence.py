@@ -92,18 +92,18 @@ class TestTemplateRhsMod:
     def test_constant_template(self):
         t = tpl([(0, ONE, 7)], 4)
         for p in (5, 11):
-            assert template_rhs_mod(t, p).residue(4) == 7
+            assert template_rhs_mod(t, p) == 7
 
     def test_eq5_at_7(self, templates):
         # p^2 - (7/2) zeta_p(3) p^5 with zeta_p(3) = zeta(-3) = 1 (mod 7)
-        got = template_rhs_mod(templates["eq5"], 7).residue(6)
+        got = template_rhs_mod(templates["eq5"], 7)
         pw = 7**6
         want = (49 - 7 * pow(2, -1, pw) % pw * 7**5) % pw
         assert got == want
 
     def test_eq14_at_13_against_exact_oracle(self, templates):
         p = 13
-        got = template_rhs_mod(templates["eq14"], p).residue(8)
+        got = template_rhs_mod(templates["eq14"], p)
         L = L_nonpositive(QuadCharacter(-4), 5 - p)
         Lp = L.numerator * pow(L.denominator, -1, p) % p
         pw = p**8
@@ -133,15 +133,15 @@ class TestTemplateRhsMod:
             ts = tpl(list(zip(exps, cs, [a + b for a, b in zip(r1, r2)])), M)
             p = 7
             pw = p**M
-            assert template_rhs_mod(ts, p).residue(M) == (
-                template_rhs_mod(t1, p).residue(M) + template_rhs_mod(t2, p).residue(M)
+            assert template_rhs_mod(ts, p) == (
+                template_rhs_mod(t1, p) + template_rhs_mod(t2, p)
             ) % pw
 
     def test_kron_is_exact_at_full_width(self):
         # a -1 Kronecker value must act as -1 modulo p^M, not just modulo p
         t = tpl([(0, Kron(5), 1)], 4)
         p = 7  # (5|7) = -1
-        assert template_rhs_mod(t, p).residue(4) == 7**4 - 1
+        assert template_rhs_mod(t, p) == 7**4 - 1
 
 
 class TestVerifyCongruence:
@@ -235,7 +235,7 @@ class TestFitUnknowns:
                 if all(t[2].denominator % p != 0 for t in terms)
             )
             truth = {
-                p: template_rhs_mod(planted, p).residue(M) for p in primes
+                p: template_rhs_mod(planted, p) for p in primes
             }
             unknown = replace(
                 planted,
@@ -287,6 +287,18 @@ class TestFitUnknowns:
         res = fit_unknowns(ZERO_SPEC, t, primes, lhs=truth)
         assert res.coefficients == (F(7),)
         assert not res.held_out_ok
+
+    def test_denominator_prime_dropped_and_refit(self):
+        # 5/73 is recovered on the fit primes, but 73 itself is a (held-out)
+        # range prime, so the fit restarts on the range without it
+        planted = tpl([(0, ONE, F(5, 73)), (1, Kron(-4), F(-3))], 3)
+        primes = primes_in_range(5, 73)
+        truth = {p: template_rhs_mod(planted, p) for p in primes if p != 73}
+        res = fit_unknowns(ZERO_SPEC, tpl([(0, ONE, None), (1, Kron(-4), None)], 3),
+                           primes, lhs=truth)
+        assert res.coefficients == (F(5, 73), F(-3))
+        assert res.fit_primes + res.held_out_primes == tuple(primes[:-1])
+        assert res.held_out_ok
 
     def test_nothing_to_fit(self, series, templates):
         with pytest.raises(ValueError):
