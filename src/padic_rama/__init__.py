@@ -25,9 +25,6 @@ from .exactnum import (
     ResidueClass,
     crt_combine,
     kronecker,
-    padic_add,
-    padic_inv,
-    padic_mul,
     primes_in_range,
     rational_reconstruct,
     reduce_rational,
@@ -61,6 +58,7 @@ from .series import (
     term_exact,
     truncated_sum_exact,
     truncated_sum_mod,
+    truncated_sums_mod,
 )
 
 __version__ = "0.1.0"

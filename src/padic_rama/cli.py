@@ -3,7 +3,7 @@ drivers for sum checking, expansion, congruence verification, coefficient
 fitting and next-term scanning, with deterministic machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 a mathematical claim failed, 2 usage or
-configuration error, 3 precision/guard exhaustion.
+configuration error, 3 precision unavailable.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .congruence import (
 )
 from .constants import ONE, ConstantTag, Lquad, PiPower, SqrtDisc, Zeta
 from .errors import (
-    GuardExhausted,
     InsufficientPrecision,
     InvariantViolation,
     PadicRamaError,
@@ -75,6 +74,15 @@ def _integer(value, where: str) -> int:
         return int(value)
     except ValueError:
         raise SchemaError(f"{where}: bad integer {value!r}") from None
+
+
+def _tag(make, where: str, *args):
+    """make(*args), with an argument it rejects (such as a constant's index
+    outside its range) reported as a schema error naming the field."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _list(value, where: str) -> list:
@@ -160,14 +168,15 @@ def _template_constant(raw, where: str) -> TemplateConstant:
         return ONE
     if isinstance(raw, dict) and len(raw) == 1:
         (kind, arg), = raw.items()
+        where = f"{where}:{kind}"
         if kind == "kron":
-            return Kron(_integer(arg, f"{where}:kron"))
+            return Kron(_integer(arg, where))
         if kind == "zeta_p":
-            return ZetaP(_integer(arg, f"{where}:zeta_p"))
+            return _tag(ZetaP, where, _integer(arg, where))
         if kind == "l_p":
             if not isinstance(arg, list) or len(arg) != 2:
-                raise SchemaError(f"{where}: l_p takes [disc, k]")
-            return LQp(_integer(arg[0], f"{where}:l_p"), _integer(arg[1], f"{where}:l_p"))
+                raise SchemaError(f"{where}: takes [disc, k]")
+            return _tag(LQp, where, _integer(arg[0], where), _integer(arg[1], where))
     raise SchemaError(f"{where}: unknown constant {raw!r}")
 
 
@@ -228,16 +237,17 @@ def _claim_constant(raw, where: str) -> ConstantTag:
         return ONE
     if isinstance(raw, dict) and len(raw) == 1:
         (kind, arg), = raw.items()
+        where = f"{where}:{kind}"
         if kind == "pi_power":
-            return PiPower(_integer(arg, f"{where}:pi_power"))
+            return _tag(PiPower, where, _integer(arg, where))
         if kind == "zeta":
-            return Zeta(_integer(arg, f"{where}:zeta"))
+            return _tag(Zeta, where, _integer(arg, where))
         if kind == "sqrt":
-            return SqrtDisc(_integer(arg, f"{where}:sqrt"))
+            return _tag(SqrtDisc, where, _integer(arg, where))
         if kind == "l":
             if not isinstance(arg, list) or len(arg) != 2:
-                raise SchemaError(f"{where}: l takes [disc, k]")
-            return Lquad(_integer(arg[0], f"{where}:l"), _integer(arg[1], f"{where}:l"))
+                raise SchemaError(f"{where}: takes [disc, k]")
+            return _tag(Lquad, where, _integer(arg[0], where), _integer(arg[1], where))
     raise SchemaError(f"{where}: unknown constant {raw!r}")
 
 
@@ -255,6 +265,9 @@ def parse_claims(path: Path | str) -> ClaimsFile:
     data = _load_json(path)
     where = path.name
     _fields(data, where, ["order", "claims"])
+    tolerance = data.get("tolerance")
+    if tolerance is not None:
+        _tag(mpf, f"{where}:tolerance", tolerance)
     claims = []
     for i, raw in enumerate(_list(data["claims"], f"{where}:claims")):
         _fields(raw, f"{where}:claims[{i}]", ["order", "coefficient"])
@@ -275,7 +288,7 @@ def parse_claims(path: Path | str) -> ClaimsFile:
         scale=_rational(data.get("scale", "1"), f"{where}:scale"),
         order=_integer(data["order"], f"{where}:order"),
         claims=tuple(claims),
-        tolerance=data.get("tolerance"),
+        tolerance=tolerance,
     )
 
 
@@ -352,7 +365,9 @@ class RunConfig:
         if not 0 <= self.order <= 16:
             raise SchemaError("order must be within 0..16")
         if self.mod_power is not None and not 1 <= self.mod_power <= 32:
-            raise SchemaError("mod-power must be within 1..32")
+            raise SchemaError("--mod-power must be within 1..32")
+        if self.max_power is not None and not 1 <= self.max_power <= 32:
+            raise SchemaError("--max-power must be within 1..32")
         if self.out_format not in ("text", "json", "csv"):
             raise SchemaError(f"unknown format {self.out_format!r}")
 
@@ -524,9 +539,9 @@ def _parse_candidate(text: str) -> TemplateConstant:
     if kind == "kron" and len(parts) == 2:
         return Kron(_integer(parts[1], where))
     if kind == "zeta_p" and len(parts) == 2:
-        return ZetaP(_integer(parts[1], where))
+        return _tag(ZetaP, where, _integer(parts[1], where))
     if kind == "l_p" and len(parts) == 3:
-        return LQp(_integer(parts[1], where), _integer(parts[2], where))
+        return _tag(LQp, where, _integer(parts[1], where), _integer(parts[2], where))
     raise SchemaError(f"bad candidate {text!r} "
                       "(use one, kron:D, zeta_p:K or l_p:D:K)")
 
@@ -574,7 +589,7 @@ def run(config: RunConfig) -> int:
     except (SchemaError, InvariantViolation, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GuardExhausted, PrecisionUnavailable, InsufficientPrecision) as exc:
+    except (PrecisionUnavailable, InsufficientPrecision) as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
     except PadicRamaError as exc:

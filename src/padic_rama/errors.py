@@ -5,10 +5,6 @@ class PadicRamaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InversionOfZero(PadicRamaError):
-    """Attempted to invert an exact zero residue."""
-
-
 class NonCoprimeModuli(PadicRamaError):
     """CRT input moduli share a common factor."""
 
@@ -26,11 +22,6 @@ class PrecisionUnavailable(PadicRamaError):
 class NegativeValuationSum(PadicRamaError):
     """A truncated sum came out with negative valuation; a congruence
     statement about it would be meaningless."""
-
-
-class GuardExhausted(PadicRamaError):
-    """Transient negative valuations exceeded the guard-digit budget even
-    after retries."""
 
 
 class UnknownCoefficient(PadicRamaError):

@@ -1,5 +1,5 @@
-"""Exact-arithmetic substrate: rationals, residues modulo prime powers with
-tracked valuation, Kronecker symbols, CRT and rational reconstruction.
+"""Exact-arithmetic substrate: rationals, their reduction modulo prime powers
+with tracked valuation, Kronecker symbols, CRT and rational reconstruction.
 
 Rationals are stdlib ``fractions.Fraction`` throughout: it already guarantees
 the canonical form (reduced, positive denominator, zero = 0/1) that every
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    InversionOfZero,
-    NegativeValuationSum,
-    NonCoprimeModuli,
-    PrecisionUnavailable,
-)
+from .errors import NegativeValuationSum, NonCoprimeModuli, PrecisionUnavailable
 
 Rational = Fraction
 
@@ -51,8 +46,7 @@ class PadicResidue:
       * zero to finite precision (from cancellation): m = 0, u = 0, meaning
         O(p^v) -- the value is divisible by p^v and nothing more is known.
 
-    Instances are immutable; arithmetic returns fresh objects and never
-    silently reports more precision than the inputs support.
+    Instances are immutable and never report more precision than they hold.
     """
 
     p: int
@@ -100,29 +94,6 @@ class PadicResidue:
             )
         return self.u * self.p**self.v % self.p**mod_power
 
-    def same_value(self, other: "PadicResidue", mod_power: int) -> bool:
-        """Agreement modulo p^mod_power (both operands must know that much)."""
-        return self.residue(mod_power) == other.residue(mod_power)
-
-    def __add__(self, other: "PadicResidue") -> "PadicResidue":
-        return padic_add(self, other)
-
-    def __mul__(self, other: "PadicResidue") -> "PadicResidue":
-        return padic_mul(self, other)
-
-    def __neg__(self) -> "PadicResidue":
-        if self.is_zero or self.m == 0:
-            return self
-        return PadicResidue(
-            p=self.p, v=self.v, u=(-self.u) % self.p**self.m, m=self.m
-        )
-
-    def __sub__(self, other: "PadicResidue") -> "PadicResidue":
-        return padic_add(self, -other)
-
-    def inv(self) -> "PadicResidue":
-        return padic_inv(self)
-
     def __repr__(self) -> str:
         if self.is_zero:
             return f"PadicResidue(p={self.p}, 0)"
@@ -151,53 +122,6 @@ def reduce_rational(q: Fraction | int, p: int, m: int) -> PadicResidue:
     den = q.denominator // p**vd
     u = num * pow(den, -1, pm) % pm
     return PadicResidue(p=p, v=vn - vd, u=u, m=m)
-
-
-def padic_add(a: PadicResidue, b: PadicResidue) -> PadicResidue:
-    """Sum with honest precision: the result is known modulo p^min(abs_prec)."""
-    _require_same_prime(a, b)
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    prec = min(a.abs_prec, b.abs_prec)
-    v0 = min(a.v, b.v)
-    width = int(prec) - v0
-    if width <= 0:
-        # not even the leading digit of the sum is determined
-        return PadicResidue(p=a.p, v=int(prec), u=0, m=0)
-    pw = a.p**width
-    r = (a.u * a.p ** (a.v - v0) + b.u * b.p ** (b.v - v0)) % pw
-    if r == 0:
-        return PadicResidue(p=a.p, v=int(prec), u=0, m=0)
-    s = _int_valuation(r, a.p)
-    return PadicResidue(p=a.p, v=v0 + s, u=r // a.p**s, m=width - s)
-
-
-def padic_mul(a: PadicResidue, b: PadicResidue) -> PadicResidue:
-    """Product: valuations add, unit precision is the minimum of the inputs'."""
-    _require_same_prime(a, b)
-    if a.is_zero or b.is_zero:
-        return PadicResidue.exact_zero(a.p)
-    m = min(a.m, b.m)
-    v = a.v + b.v
-    if m == 0:
-        return PadicResidue(p=a.p, v=v, u=0, m=0)
-    return PadicResidue(p=a.p, v=v, u=a.u * b.u % a.p**m, m=m)
-
-
-def padic_inv(a: PadicResidue) -> PadicResidue:
-    """Multiplicative inverse; keeps the operand's unit precision."""
-    if a.is_zero:
-        raise InversionOfZero("cannot invert exact zero")
-    if a.m == 0:
-        raise PrecisionUnavailable("cannot invert a residue with no known digits")
-    return PadicResidue(p=a.p, v=-a.v, u=pow(a.u, -1, a.p**a.m), m=a.m)
-
-
-def _require_same_prime(a: PadicResidue, b: PadicResidue) -> None:
-    if a.p != b.p:
-        raise ValueError(f"mixed primes {a.p} and {b.p}")
 
 
 def kronecker(D: int, n: int) -> int:

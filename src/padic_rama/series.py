@@ -1,23 +1,21 @@
 """Data model and evaluators for Ramanujan-like hypergeometric series:
-exact terms, exact and modular truncated sums over n = 0..p-1, and
-high-precision numeric evaluation of the full sums against their closed
-forms.
+exact terms, exact truncated sums over n = 0..p-1, their residues modulo p^m
+at many primes from one integer recurrence, and high-precision numeric
+evaluation of the full sums against their closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from mpmath import mp, mpf
 
 from .constants import PiPower, SqrtDisc, constant_value, to_mpf
-from .errors import BadPrime, GuardExhausted, InvariantViolation, NegativeValuationSum
-from .exactnum import PadicResidue, padic_inv, reduce_rational
-
-_GUARD_START = 4
-_GUARD_MAX = 32
+from .errors import BadPrime, InvariantViolation, NegativeValuationSum
+from .exactnum import valuation
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,11 @@ class SeriesSpec:
               *(self.denom_linear or ())]
         return any(q.denominator % p == 0 for q in qs)
 
+    def check_prime(self, p: int) -> None:
+        """Raise BadPrime when ``is_bad_prime(p)``."""
+        if self.is_bad_prime(p):
+            raise BadPrime(f"p={p} divides a structural denominator of {self.name}")
+
     def scaled(self, scale: Fraction) -> "SeriesSpec":
         """Same series with the global prefactor multiplied by ``scale``."""
         if scale == 1:
@@ -152,57 +155,87 @@ def truncated_sum_exact(spec: SeriesSpec, p: int) -> Fraction:
     return total
 
 
-def truncated_sum_mod(spec: SeriesSpec, p: int, m: int) -> PadicResidue:
-    """The truncated sum as a residue with absolute precision >= m.
+def _integer_factors(spec: SeriesSpec):
+    """Integer polynomials num, den, a, b and a rational c with
+    hyper_ratio(n) = num(n)/den(n) and poly_at(n)/linear_at(n) = c*a(n)/b(n)."""
+    num_k = spec.sign * spec.base.numerator * math.prod(b.denominator for b in spec.lower)
+    den_k = spec.base.denominator * math.prod(a.denominator for a in spec.upper)
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(b.numerator, b.denominator) for b in spec.lower]
+    poly_den = math.lcm(*(c.denominator for c in spec.poly))
+    poly = [c.numerator * (poly_den // c.denominator) for c in reversed(spec.poly)]
+    alpha, beta = spec.denom_linear or (Fraction(0), Fraction(1))
+    lin_den = math.lcm(alpha.denominator, beta.denominator)
+    lin = (alpha.numerator * (lin_den // alpha.denominator),
+           beta.numerator * (lin_den // beta.denominator))
 
-    Terms are accumulated in tracked-valuation arithmetic at working unit
-    precision m + g; transient negative valuations up to g pass through
-    losslessly.  The guard g starts at 4 and doubles (up to 32) whenever a
-    term comes out knowing fewer than m digits.
+    def num(n: int) -> int:
+        return num_k * math.prod(u + w * n for u, w in upper)
+
+    def den(n: int) -> int:
+        return den_k * math.prod(u + w * n for u, w in lower)
+
+    def a(n: int) -> int:
+        acc = 0
+        for c in poly:
+            acc = acc * n + c
+        return acc
+
+    def b(n: int) -> int:
+        return lin[0] * n + lin[1]
+
+    return num, den, a, b, spec.multiplier * lin_den / poly_den
+
+
+def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[int, int]:
+    """The truncated sum over n < p modulo p^m, as an integer in [0, p^m),
+    for every prime p given, from one exact pass over n < max(primes).
+
+    With the integer factors of ``_integer_factors`` the partial sum through
+    term n is c*N/D, kept exactly; H is the product of num(k)*b(k) over k < n.
+    Adding term n is N <- N*b(n) + a(n)*H, D <- D*b(n); advancing the ratio
+    multiplies N and D by den(n) and H by num(n)*b(n).  Every step multiplies
+    by small integers only.  At p, with v = v_p(D) found exactly, the sum is
+    (c*N / p^v) * (D / p^v)^-1 modulo p^m, read from N and D modulo p^(v+m).
+
+    Raises BadPrime when a prime divides a structural denominator, and
+    NegativeValuationSum at the first prime where the sum is not p-integral.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if spec.is_bad_prime(p):
-        raise BadPrime(f"p={p} divides a structural denominator of {spec.name}")
-    guard = _GUARD_START
-    while True:
-        result = _truncated_sum_attempt(spec, p, m, m + guard)
-        if result is not None:
-            if not result.is_zero and result.m > 0 and result.v < 0:
+    primes = sorted(set(primes))
+    for p in primes:
+        spec.check_prime(p)
+    num, den, a, b, c = _integer_factors(spec)
+    out: dict[int, int] = {}
+    N, D, H = 0, 1, 1
+    for n in range(primes[-1] if primes else 0):
+        bn = b(n)
+        N = N * bn + a(n) * H
+        D *= bn
+        p = n + 1
+        if p == primes[len(out)]:
+            v = 0
+            while D % p ** (v + 1) == 0:
+                v += 1
+            pv, pm = p**v, p**m
+            top = N % (pv * pm) * c.numerator % (pv * pm)
+            if top % pv:
                 raise NegativeValuationSum(
-                    f"{spec.name} at p={p}: sum has valuation {result.v}"
+                    f"{spec.name} at p={p}: sum has valuation {valuation(top, p) - v}"
                 )
-            return result
-        guard *= 2
-        if guard > _GUARD_MAX:
-            raise GuardExhausted(
-                f"{spec.name} at p={p}: guard digits exhausted at m={m}"
-            )
+            unit = D % (pv * pm) // pv * c.denominator
+            out[p] = top // pv * pow(unit, -1, pm) % pm
+        dn = den(n)
+        N *= dn
+        D *= dn
+        H *= num(n) * bn
+    return out
 
 
-def _truncated_sum_attempt(
-    spec: SeriesSpec, p: int, m: int, width: int
-) -> Optional[PadicResidue]:
-    """One pass at unit precision ``width``; None means the guard was too small."""
-    h = reduce_rational(spec.multiplier, p, width)
-    acc = PadicResidue.exact_zero(p)
-    for n in range(p):
-        pn = spec.poly_at(n)
-        if pn == 0 or h.is_zero:
-            term = PadicResidue.exact_zero(p)
-        else:
-            term = h * reduce_rational(pn, p, width)
-            lin = spec.linear_at(n)
-            if lin != 1:
-                term = term * padic_inv(reduce_rational(lin, p, width))
-        if not term.is_zero and term.abs_prec < m:
-            return None
-        acc = acc + term
-        if n < p - 1 and not h.is_zero:
-            h = h * reduce_rational(spec.hyper_ratio(n), p, width)
-    if not acc.is_zero and acc.abs_prec < m:
-        return None
-    return acc
+def truncated_sum_mod(spec: SeriesSpec, p: int, m: int) -> int:
+    """``truncated_sums_mod`` at the single prime p."""
+    return truncated_sums_mod(spec, [p], m)[p]
 
 
 def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:

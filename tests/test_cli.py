@@ -203,6 +203,11 @@ MALFORMED = [
     ("eq5", ("mod_power",), "six"),
     ("eq5", ("terms", 0, "exponent"), "two"),
     ("eq3-claims", ("order",), "x"),
+    ("eq3-claims", ("claims", 0, "constants", 0), {"pi_power": 0}),
+    ("eq3-claims", ("claims", 0, "constants", 0), {"zeta": 1}),
+    ("eq3-claims", ("claims", 0, "constants", 0), {"sqrt": 1}),
+    ("eq3-claims", ("tolerance",), "abc"),
+    ("eq5", ("terms", 1, "constant"), {"zeta_p": 1}),
     (None, "--exclude", "a"),
     (None, "--candidates", "zeta_p:x"),
 ]
@@ -231,3 +236,11 @@ def test_malformed_input_exits_usage(tmp_path, capsys, fixture, key, value):
         }[fixture]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("power", ["0", "33"])
+def test_max_power_bounded(capsys, power):
+    argv = ["scan", "--spec", "eq6", "--template", "eq8", "--primes", "5..30",
+            "--candidates", "one", "--max-power", power]
+    assert main(argv) == EXIT_USAGE
+    assert "--max-power must be within 1..32" in capsys.readouterr().err

@@ -3,23 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from padic_rama.errors import (
-    InversionOfZero,
-    NegativeValuationSum,
-    NonCoprimeModuli,
-    PrecisionUnavailable,
-)
+from padic_rama.errors import NegativeValuationSum, NonCoprimeModuli
 from padic_rama.exactnum import (
-    PadicResidue,
     ResidueClass,
     crt_combine,
     kronecker,
-    padic_add,
-    padic_inv,
-    padic_mul,
     primes_in_range,
     rational_reconstruct,
     reduce_rational,
@@ -64,65 +53,6 @@ class TestReduceRational:
                     want_full = q.numerator * pow(q.denominator, -1, pm) % pm
                     for m in range(1, 5):
                         assert r.residue(m) == want_full % p**m
-
-
-class TestPadicOps:
-    def test_add_exact_zero_identity(self):
-        x = reduce_rational(Fraction(3, 7), 5, 4)
-        z = PadicResidue.exact_zero(5)
-        assert padic_add(x, z) == x
-        assert padic_add(z, x) == x
-
-    def test_mul_valuation_additivity(self):
-        a = reduce_rational(3, 3, 3)  # 3^1 * 1
-        b = reduce_rational(9, 3, 3)  # 3^2 * 1
-        c = padic_mul(a, b)
-        assert (c.v, c.u) == (3, 1)
-
-    def test_inv_example(self):
-        r = padic_inv(reduce_rational(2, 5, 2))
-        assert (r.v, r.u) == (0, 13)
-
-    def test_inv_of_zero(self):
-        with pytest.raises(InversionOfZero):
-            padic_inv(PadicResidue.exact_zero(5))
-
-    def test_cancellation_reports_lost_precision(self):
-        a = reduce_rational(Fraction(1), 5, 3)
-        b = reduce_rational(Fraction(-1), 5, 3)
-        s = padic_add(a, b)  # 0 to absolute precision 3, no digits known
-        assert s.m == 0 and s.abs_prec == 3
-        assert s.residue(3) == 0
-        with pytest.raises(PrecisionUnavailable):
-            s.residue(4)
-
-    def test_mixed_primes_rejected(self):
-        with pytest.raises(ValueError):
-            padic_add(reduce_rational(1, 5, 2), reduce_rational(1, 7, 2))
-
-    @given(
-        st.fractions(min_value=-30, max_value=30, max_denominator=24),
-        st.fractions(min_value=-30, max_value=30, max_denominator=24),
-        st.sampled_from([3, 5, 7, 11]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_ops_commute_with_reduce(self, q1, q2, p):
-        # restrict to nonnegative valuation so residues stay integral
-        if q1.denominator % p == 0 or q2.denominator % p == 0:
-            return
-        m = 4
-        x, y = reduce_rational(q1, p, m), reduce_rational(q2, p, m)
-        s = padic_add(x, y)
-        if q1 + q2 == 0:
-            assert s.is_zero or s.residue(min(int(s.abs_prec), m)) == 0
-        else:
-            k = min(int(s.abs_prec), m)
-            assert s.residue(k) == reduce_rational(q1 + q2, p, m).residue(k)
-        t = padic_mul(x, y)
-        if q1 * q2 == 0:
-            assert t.is_zero
-        else:
-            assert t.residue(m) == reduce_rational(q1 * q2, p, m).residue(m)
 
 
 class TestKronecker:

@@ -1,15 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from padic_rama.errors import (
-    BadPrime,
-    GuardExhausted,
-    InvariantViolation,
-    NegativeValuationSum,
-)
-from padic_rama.exactnum import reduce_rational
+from padic_rama.errors import BadPrime, InvariantViolation, NegativeValuationSum
+from padic_rama.exactnum import primes_in_range, reduce_rational
 from padic_rama.series import (
     ClosedForm,
     SeriesSpec,
@@ -19,6 +16,7 @@ from padic_rama.series import (
     term_exact,
     truncated_sum_exact,
     truncated_sum_mod,
+    truncated_sums_mod,
 )
 
 F = Fraction
@@ -114,16 +112,16 @@ class TestTruncatedSumMod:
                     continue
                 want = reduce_rational(truncated_sum_exact(spec, p), p, 8)
                 for m in range(1, 9):
-                    assert got.residue(m) == want.residue(m), (spec.name, p, m)
+                    assert got % p**m == want.residue(m), (spec.name, p, m)
 
     def test_eq15_transient_valuations_cancel(self, series):
         # at p=11, n=5 the 2n+1 factor and an upper parameter both carry p
         r = truncated_sum_mod(series["eq15"], 11, 4)
         want = reduce_rational(truncated_sum_exact(series["eq15"], 11), 11, 4)
-        assert r.residue(4) == want.residue(4)
+        assert r == want.residue(4)
 
     def test_zero_poly_is_exact_zero(self):
-        assert truncated_sum_mod(make_spec(**ZERO_POLY), 11, 4).is_zero
+        assert truncated_sum_mod(make_spec(**ZERO_POLY), 11, 4) == 0
 
     def test_bad_prime(self, series):
         with pytest.raises(BadPrime):
@@ -138,10 +136,85 @@ class TestTruncatedSumMod:
             truncated_sum_mod(spec, 5, 2)
 
     def test_guard_exhausted(self):
-        # forty lower-parameter copies of 1/2 drive the valuation to -40 < -32
+        # forty lower-parameter copies of 1/2: the n = 3 and n = 4 terms each
+        # carry 5^-40, their leading digits cancel, and the sum has valuation -39
         spec = make_spec(upper=(F(1),) * 40, lower=(F(1, 2),) * 40)
-        with pytest.raises(GuardExhausted):
+        assert reduce_rational(truncated_sum_exact(spec, 5), 5, 1).v == -39
+        with pytest.raises(NegativeValuationSum, match="valuation -39"):
             truncated_sum_mod(spec, 5, 1)
+
+    def test_batch_matches_single_primes(self, series):
+        spec = series["eq15"]
+        primes = [p for p in primes_in_range(5, 120) if not spec.is_bad_prime(p)]
+        got = truncated_sums_mod(spec, primes[::-1] + primes[:3], 5)
+        assert got == {p: truncated_sum_mod(spec, p, 5) for p in primes}
+        assert truncated_sums_mod(spec, [], 5) == {}
+        with pytest.raises(BadPrime, match="p=23"):
+            truncated_sums_mod(spec, [29, 23], 5)
+
+
+PARAMS = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda q: q > 0)
+SMALL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+SMALL_PRIMES = primes_in_range(2, 200)
+LINEAR = st.tuples(
+    st.fractions(min_value=0, max_value=4, max_denominator=6),
+    SMALL.filter(lambda q: q != 0),
+).filter(lambda ab: not (ab[0] and (-ab[1] / ab[0]).denominator == 1
+                         and -ab[1] / ab[0] >= 0))
+
+
+@st.composite
+def small_specs(draw):
+    k = draw(st.integers(0, 3))
+    poly = draw(st.lists(SMALL, min_size=1, max_size=3))
+    if len(poly) > 1 and poly[-1] == 0:
+        poly[-1] = F(1)
+    denom = draw(st.none() | LINEAR)
+    return make_spec(
+        upper=tuple(draw(st.lists(PARAMS, min_size=k, max_size=k))),
+        lower=tuple(draw(st.lists(PARAMS, min_size=k, max_size=k))),
+        sign=draw(st.sampled_from([1, -1])),
+        base=draw(st.fractions(min_value=0, max_value=1, max_denominator=40)
+                  .filter(lambda q: 0 < q < 1)),
+        poly=tuple(poly),
+        denom_linear=denom,
+        multiplier=draw(SMALL.filter(lambda q: q != 0)),
+    )
+
+
+@given(small_specs(),
+       st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=4, unique=True),
+       st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_batch_agrees_with_exact_route(spec, primes, m):
+    """The one-pass recurrence against the exact Fraction sum reduced at
+    each prime: same residues, and the same primes rejected as bad or as
+    carrying a sum of negative valuation."""
+    want = {}
+    for p in primes:
+        if spec.is_bad_prime(p):
+            want[p] = BadPrime
+            continue
+        try:
+            want[p] = reduce_rational(truncated_sum_exact(spec, p), p, m).residue(m)
+        except NegativeValuationSum:
+            want[p] = NegativeValuationSum
+    for p in primes:
+        if isinstance(want[p], type):
+            with pytest.raises(want[p]):
+                truncated_sum_mod(spec, p, m)
+        else:
+            assert truncated_sum_mod(spec, p, m) == want[p]
+    good = [p for p in primes if want[p] is not BadPrime]
+    if len(good) < len(primes):
+        with pytest.raises(BadPrime, match=f"p={min(set(primes) - set(good))} "):
+            truncated_sums_mod(spec, primes, m)
+    negative = [p for p in good if want[p] is NegativeValuationSum]
+    if negative:
+        with pytest.raises(NegativeValuationSum, match=f"p={min(negative)}:"):
+            truncated_sums_mod(spec, good, m)
+    else:
+        assert truncated_sums_mod(spec, good, m) == {p: want[p] for p in good}
 
 
 class TestNumericSum:
