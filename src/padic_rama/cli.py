@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -22,18 +22,16 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 
 from .congruence import (
-    CongruenceReport,
     ExpansionTemplate,
     Kron,
     LQp,
-    TemplateConstant,
     TemplateTerm,
     ZetaP,
     fit_unknowns,
     scan_next_term,
     verify_congruence,
 )
-from .constants import ONE, ConstantTag, Lquad, PiPower, SqrtDisc, Zeta
+from .constants import ONE, Lquad, One, PiPower, SqrtDisc, Zeta
 from .errors import (
     InsufficientPrecision,
     InvariantViolation,
@@ -49,6 +47,13 @@ EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+
+# Closed bounds on integer inputs.  Each applies to the option and to the file
+# field that carry the same quantity.
+MOD_POWER = (1, 32)      # --mod-power, --max-power, a template's mod_power
+ORDER = (0, 16)          # --order, a claims file's order
+PRECISION = (64, 65536)  # --prec, in bits
+PRIME_MAX = 10**6        # top of --primes; the prime sieve allocates that many bytes
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +79,13 @@ def _integer(value, where: str) -> int:
         return int(value)
     except ValueError:
         raise SchemaError(f"{where}: bad integer {value!r}") from None
+
+
+def _bounded(value, where: str, lo: int, hi: int) -> int:
+    n = _integer(value, where)
+    if not lo <= n <= hi:
+        raise SchemaError(f"{where} must be within {lo}..{hi}")
+    return n
 
 
 def _tag(make, where: str, *args):
@@ -163,31 +175,44 @@ def serialize_series(spec: SeriesSpec) -> dict:
     }
 
 
-def _template_constant(raw, where: str) -> TemplateConstant:
+# A constant is "one" or {kind: arg}, where arg is the class's one integer
+# field or the list of its fields, e.g. {"zeta_p": 3} or {"l_p": [-4, 3]}.
+TEMPLATE_KINDS = {"kron": Kron, "zeta_p": ZetaP, "l_p": LQp}
+CLAIM_KINDS = {"pi_power": PiPower, "zeta": Zeta, "sqrt": SqrtDisc, "l": Lquad}
+_TEMPLATE_KIND_OF = {cls: kind for kind, cls in TEMPLATE_KINDS.items()}
+
+
+def _constant(raw, where: str, kinds: dict):
     if raw == "one":
         return ONE
     if isinstance(raw, dict) and len(raw) == 1:
         (kind, arg), = raw.items()
-        where = f"{where}:{kind}"
-        if kind == "kron":
-            return Kron(_integer(arg, where))
-        if kind == "zeta_p":
-            return _tag(ZetaP, where, _integer(arg, where))
-        if kind == "l_p":
-            if not isinstance(arg, list) or len(arg) != 2:
-                raise SchemaError(f"{where}: takes [disc, k]")
-            return _tag(LQp, where, _integer(arg[0], where), _integer(arg[1], where))
+        if kind in kinds:
+            where = f"{where}:{kind}"
+            names = [f.name for f in fields(kinds[kind])]
+            args = arg if len(names) > 1 else [arg]
+            if not isinstance(args, list) or len(args) != len(names):
+                raise SchemaError(f"{where}: takes [{', '.join(names)}]")
+            return _tag(kinds[kind], where, *(_integer(a, where) for a in args))
     raise SchemaError(f"{where}: unknown constant {raw!r}")
 
 
-def _serialize_template_constant(c: TemplateConstant):
-    if isinstance(c, Kron):
-        return {"kron": c.disc}
-    if isinstance(c, ZetaP):
-        return {"zeta_p": c.k}
-    if isinstance(c, LQp):
-        return {"l_p": [c.disc, c.k]}
-    return "one"
+def _template_constant_json(constant):
+    """The file form of a template constant: the inverse of ``_constant``."""
+    if isinstance(constant, One):
+        return "one"
+    args = list(astuple(constant))
+    return {_TEMPLATE_KIND_OF[type(constant)]: args if len(args) > 1 else args[0]}
+
+
+def _candidates(text: str) -> list:
+    """--candidates C1,C2,...: each one, kind:n or kind:disc:k."""
+    out = []
+    for item in filter(None, (c.strip() for c in text.split(","))):
+        kind, *args = item.split(":")
+        raw = item if item == "one" else {kind: args[0] if len(args) == 1 else args}
+        out.append(_constant(raw, f"--candidates {item!r}", TEMPLATE_KINDS))
+    return out
 
 
 def parse_template(path: Path | str) -> ExpansionTemplate:
@@ -202,14 +227,15 @@ def parse_template(path: Path | str) -> ExpansionTemplate:
         terms.append(
             TemplateTerm(
                 exponent=_integer(raw["exponent"], f"{where}:terms[{i}].exponent"),
-                constant=_template_constant(raw["constant"], f"{where}:terms[{i}]"),
+                constant=_constant(raw["constant"], f"{where}:terms[{i}]",
+                                   TEMPLATE_KINDS),
                 coefficient=None if coeff == "?"
                 else _rational(coeff, f"{where}:terms[{i}].coefficient"),
             )
         )
     return ExpansionTemplate(
         terms=tuple(terms),
-        modulus_power=_integer(data["mod_power"], f"{where}:mod_power"),
+        modulus_power=_bounded(data["mod_power"], f"{where}:mod_power", *MOD_POWER),
         scale=_rational(data.get("scale", "1"), f"{where}:scale"),
     )
 
@@ -221,7 +247,7 @@ def serialize_template(tpl: ExpansionTemplate, name: str = "") -> dict:
         "terms": [
             {
                 "exponent": t.exponent,
-                "constant": _serialize_template_constant(t.constant),
+                "constant": _template_constant_json(t.constant),
                 "coefficient": "?" if t.coefficient is None else str(t.coefficient),
             }
             for t in tpl.terms
@@ -230,25 +256,6 @@ def serialize_template(tpl: ExpansionTemplate, name: str = "") -> dict:
     if name:
         out["name"] = name
     return out
-
-
-def _claim_constant(raw, where: str) -> ConstantTag:
-    if raw == "one":
-        return ONE
-    if isinstance(raw, dict) and len(raw) == 1:
-        (kind, arg), = raw.items()
-        where = f"{where}:{kind}"
-        if kind == "pi_power":
-            return _tag(PiPower, where, _integer(arg, where))
-        if kind == "zeta":
-            return _tag(Zeta, where, _integer(arg, where))
-        if kind == "sqrt":
-            return _tag(SqrtDisc, where, _integer(arg, where))
-        if kind == "l":
-            if not isinstance(arg, list) or len(arg) != 2:
-                raise SchemaError(f"{where}: takes [disc, k]")
-            return _tag(Lquad, where, _integer(arg[0], where), _integer(arg[1], where))
-    raise SchemaError(f"{where}: unknown constant {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -268,16 +275,18 @@ def parse_claims(path: Path | str) -> ClaimsFile:
     tolerance = data.get("tolerance")
     if tolerance is not None:
         _tag(mpf, f"{where}:tolerance", tolerance)
+    order = _bounded(data["order"], f"{where}:order", *ORDER)
     claims = []
     for i, raw in enumerate(_list(data["claims"], f"{where}:claims")):
         _fields(raw, f"{where}:claims[{i}]", ["order", "coefficient"])
         claims.append(
             ExpansionClaim(
-                order=_integer(raw["order"], f"{where}:claims[{i}].order"),
+                order=_bounded(raw["order"], f"{where}:claims[{i}].order",
+                               ORDER[0], order),
                 coefficient=_rational(raw["coefficient"],
                                       f"{where}:claims[{i}].coefficient"),
                 constants=tuple(
-                    _claim_constant(c, f"{where}:claims[{i}]")
+                    _constant(c, f"{where}:claims[{i}]", CLAIM_KINDS)
                     for c in _list(raw.get("constants", []),
                                    f"{where}:claims[{i}].constants")
                 ),
@@ -286,7 +295,7 @@ def parse_claims(path: Path | str) -> ClaimsFile:
     return ClaimsFile(
         name=str(data.get("name", path.stem)),
         scale=_rational(data.get("scale", "1"), f"{where}:scale"),
-        order=_integer(data["order"], f"{where}:order"),
+        order=order,
         claims=tuple(claims),
         tolerance=tolerance,
     )
@@ -312,10 +321,8 @@ def parse_prime_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise SchemaError(f"prime range must look like 5..199, got {text!r}")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise SchemaError(f"bad prime range {text!r}") from None
+    lo = _integer(lo, "--primes")
+    return lo, _bounded(hi, "--primes upper end", lo, PRIME_MAX)
 
 
 def admissible_primes(
@@ -338,69 +345,12 @@ def admissible_primes(
 
 
 # ---------------------------------------------------------------------------
-# run configuration and drivers
+# drivers: each takes the parsed options and returns (exit code, JSON
+# payload, text report)
 
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: str
-    template_path: Optional[str] = None
-    claims_path: Optional[str] = None
-    prime_lo: int = 5
-    prime_hi: int = 199
-    exclusions: tuple[int, ...] = ()
-    order: int = 5
-    precision_bits: int = 256
-    mod_power: Optional[int] = None
-    candidates: tuple[str, ...] = ()
-    max_power: Optional[int] = None
-    out_format: str = "text"
-    output: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.prime_lo > self.prime_hi:
-            raise SchemaError("prime_lo must be <= prime_hi")
-        if self.precision_bits < 64:
-            raise SchemaError("precision must be >= 64 bits")
-        if not 0 <= self.order <= 16:
-            raise SchemaError("order must be within 0..16")
-        if self.mod_power is not None and not 1 <= self.mod_power <= 32:
-            raise SchemaError("--mod-power must be within 1..32")
-        if self.max_power is not None and not 1 <= self.max_power <= 32:
-            raise SchemaError("--max-power must be within 1..32")
-        if self.out_format not in ("text", "json", "csv"):
-            raise SchemaError(f"unknown format {self.out_format!r}")
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(config: RunConfig, payload: dict) -> None:
-    _emit(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _congruence_csv(report: CongruenceReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["p", "lhs", "rhs", "pass", "defect_valuation"])
-    for r in report.rows:
-        writer.writerow([
-            r.p,
-            "" if r.lhs is None else r.lhs,
-            "" if r.rhs is None else r.rhs,
-            str(r.passed).lower(),
-            "" if r.defect_valuation is None else r.defect_valuation,
-        ])
-    return buf.getvalue()
-
-
-def _run_sum_check(config: RunConfig) -> int:
-    spec = parse_series(resolve_input(config.spec_path))
-    bits = config.precision_bits
+def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
+    spec = parse_series(resolve_input(args.spec))
+    bits = args.prec
     value, bound = numeric_sum(spec, bits)
     target = rhs_value(spec, bits)
     with mp.workprec(bits + 16):
@@ -417,95 +367,74 @@ def _run_sum_check(config: RunConfig) -> int:
         "tail_bound": mp.nstr(bound, 8),
         "pass": ok,
     }
-    if config.out_format == "json":
-        _emit_json(config, payload)
-    else:
-        _emit(
-            config,
-            f"{spec.name}: sum = {payload['value']}\n"
+    text = (f"{spec.name}: sum = {payload['value']}\n"
             f"{' ' * len(spec.name)}  rhs = {payload['closed_form']}\n"
             f"|diff| = {payload['abs_diff']} (tail bound {payload['tail_bound']})"
-            f" -> {'PASS' if ok else 'FAIL'}\n",
-        )
-    return EXIT_OK if ok else EXIT_MATH_FAIL
+            f" -> {'PASS' if ok else 'FAIL'}\n")
+    return (EXIT_OK if ok else EXIT_MATH_FAIL), payload, text
 
 
-def _run_expand(config: RunConfig) -> int:
-    spec = parse_series(resolve_input(config.spec_path))
-    bits = config.precision_bits
-    if config.claims_path is None:
-        ts = shifted_expansion(spec, config.order, bits)
+def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
+    spec = parse_series(resolve_input(args.spec))
+    bits = args.prec
+    if args.verify is None:
+        ts = shifted_expansion(spec, args.order, bits)
         payload = {
             "command": "expand",
             "series": spec.name,
-            "order": config.order,
+            "order": args.order,
             "precision_bits": bits,
             "error_bound": mp.nstr(ts.error_bound, 8),
             "coefficients": [mp.nstr(c, 40) for c in ts.coeffs],
         }
-        if config.out_format == "json":
-            _emit_json(config, payload)
-        else:
-            lines = [f"{spec.name}: expansion to order {config.order} "
-                     f"({bits} bits, coefficient error < {payload['error_bound']})"]
-            lines += [f"  x^{k}: {c}" for k, c in enumerate(payload["coefficients"])]
-            _emit(config, "\n".join(lines) + "\n")
-        return EXIT_OK
-    claims = parse_claims(resolve_input(config.claims_path))
+        lines = [f"{spec.name}: expansion to order {args.order} "
+                 f"({bits} bits, coefficient error < {payload['error_bound']})"]
+        lines += [f"  x^{k}: {c}" for k, c in enumerate(payload["coefficients"])]
+        return EXIT_OK, payload, "\n".join(lines) + "\n"
+    claims = parse_claims(resolve_input(args.verify))
     tol = mpf(claims.tolerance) if claims.tolerance else None
     report = verify_expansion(
         spec.scaled(claims.scale), claims.claims, claims.order, bits, tolerance=tol
     )
     payload = {"command": "expand", "claims": claims.name, **report.as_dict()}
-    if config.out_format == "json":
-        _emit_json(config, payload)
-    else:
-        lines = [f"{spec.name} vs claims {claims.name!r} "
-                 f"(order {claims.order}, {bits} bits, tol {mp.nstr(report.tolerance, 4)})"]
-        for c in report.checks:
-            kind = "claimed" if c.claimed else "zero"
-            lines.append(
-                f"  x^{c.order} [{kind:7s}] defect {mp.nstr(c.defect, 4)} "
-                f"-> {'PASS' if c.passed else 'FAIL'}"
-            )
-        lines.append("all pass" if report.all_pass else "FAILURES present")
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_OK if report.all_pass else EXIT_MATH_FAIL
+    lines = [f"{spec.name} vs claims {claims.name!r} "
+             f"(order {claims.order}, {bits} bits, tol {mp.nstr(report.tolerance, 4)})"]
+    for c in report.checks:
+        kind = "claimed" if c.claimed else "zero"
+        lines.append(
+            f"  x^{c.order} [{kind:7s}] defect {mp.nstr(c.defect, 4)} "
+            f"-> {'PASS' if c.passed else 'FAIL'}"
+        )
+    lines.append("all pass" if report.all_pass else "FAILURES present")
+    return (EXIT_OK if report.all_pass else EXIT_MATH_FAIL), payload, "\n".join(lines) + "\n"
 
 
-def _run_congruence(config: RunConfig) -> int:
-    spec = parse_series(resolve_input(config.spec_path))
-    tpl = parse_template(resolve_input(config.template_path))
-    if config.mod_power is not None and config.mod_power != tpl.modulus_power:
-        tpl = replace(tpl, modulus_power=config.mod_power)
-    primes = admissible_primes(spec, tpl, config.prime_lo, config.prime_hi,
-                               config.exclusions)
+def _run_congruence(args: argparse.Namespace) -> tuple[int, dict, str]:
+    spec = parse_series(resolve_input(args.spec))
+    tpl = parse_template(resolve_input(args.template))
+    if args.mod_power is not None:
+        tpl = replace(tpl, modulus_power=args.mod_power)
+    lo, hi = args.primes
+    primes = admissible_primes(spec, tpl, lo, hi, args.exclude)
     report = verify_congruence(spec, tpl, primes)
+    lines = [f"{spec.name} vs template mod p^{tpl.modulus_power} "
+             f"over {len(primes)} primes in [{lo}, {hi}]"]
+    for r in report.rows:
+        if r.skipped:
+            lines.append(f"  p={r.p}: skipped ({r.note})")
+        else:
+            status = "pass" if r.passed else f"FAIL (defect at p^{r.defect_valuation})"
+            lines.append(f"  p={r.p}: {status}")
+    c = report.counts
+    lines.append(f"pass {c['pass']}, fail {c['fail']}, skip {c['skip']}")
     payload = {"command": "congruence", **report.as_dict()}
-    if config.out_format == "json":
-        _emit_json(config, payload)
-    elif config.out_format == "csv":
-        _emit(config, _congruence_csv(report))
-    else:
-        lines = [f"{spec.name} vs template mod p^{tpl.modulus_power} "
-                 f"over {len(primes)} primes in [{config.prime_lo}, {config.prime_hi}]"]
-        for r in report.rows:
-            if r.skipped:
-                lines.append(f"  p={r.p}: skipped ({r.note})")
-            else:
-                status = "pass" if r.passed else f"FAIL (defect at p^{r.defect_valuation})"
-                lines.append(f"  p={r.p}: {status}")
-        c = report.counts
-        lines.append(f"pass {c['pass']}, fail {c['fail']}, skip {c['skip']}")
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_OK if report.all_pass else EXIT_MATH_FAIL
+    return (EXIT_OK if report.all_pass else EXIT_MATH_FAIL), payload, "\n".join(lines) + "\n"
 
 
-def _run_fit(config: RunConfig) -> int:
-    spec = parse_series(resolve_input(config.spec_path))
-    tpl = parse_template(resolve_input(config.template_path))
-    primes = admissible_primes(spec, tpl, config.prime_lo, config.prime_hi,
-                               config.exclusions)
+def _run_fit(args: argparse.Namespace) -> tuple[int, dict, str]:
+    spec = parse_series(resolve_input(args.spec))
+    tpl = parse_template(resolve_input(args.template))
+    primes = admissible_primes(spec, tpl, *args.primes, args.exclude)
     result = fit_unknowns(spec, tpl, primes)
     payload = {
         "command": "fit",
@@ -516,85 +445,48 @@ def _run_fit(config: RunConfig) -> int:
         "held_out_primes": list(result.held_out_primes),
         "held_out_pass": result.held_out_ok,
     }
-    if config.out_format == "json":
-        _emit_json(config, payload)
-    else:
-        coeffs = ", ".join(str(c) for c in result.coefficients)
-        _emit(
-            config,
-            f"{spec.name}: recovered coefficients ({coeffs}) from "
-            f"{len(result.fit_primes)} primes; held-out check over "
+    text = (f"{spec.name}: recovered coefficients ({', '.join(payload['coefficients'])}) "
+            f"from {len(result.fit_primes)} primes; held-out check over "
             f"{len(result.held_out_primes)} primes: "
-            f"{'PASS' if result.held_out_ok else 'FAIL'}\n",
-        )
-    return EXIT_OK if result.held_out_ok else EXIT_MATH_FAIL
+            f"{'PASS' if result.held_out_ok else 'FAIL'}\n")
+    return (EXIT_OK if result.held_out_ok else EXIT_MATH_FAIL), payload, text
 
 
-def _parse_candidate(text: str) -> TemplateConstant:
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "one" and len(parts) == 1:
-        return ONE
-    where = f"candidate {text!r}"
-    if kind == "kron" and len(parts) == 2:
-        return Kron(_integer(parts[1], where))
-    if kind == "zeta_p" and len(parts) == 2:
-        return _tag(ZetaP, where, _integer(parts[1], where))
-    if kind == "l_p" and len(parts) == 3:
-        return _tag(LQp, where, _integer(parts[1], where), _integer(parts[2], where))
-    raise SchemaError(f"bad candidate {text!r} "
-                      "(use one, kron:D, zeta_p:K or l_p:D:K)")
-
-
-def _run_scan(config: RunConfig) -> int:
-    spec = parse_series(resolve_input(config.spec_path))
-    tpl = parse_template(resolve_input(config.template_path))
-    if not config.candidates:
+def _run_scan(args: argparse.Namespace) -> tuple[int, dict, str]:
+    spec = parse_series(resolve_input(args.spec))
+    tpl = parse_template(resolve_input(args.template))
+    if not args.candidates:
         raise SchemaError("scan needs --candidates")
-    cands = [_parse_candidate(c) for c in config.candidates]
-    primes = admissible_primes(spec, tpl, config.prime_lo, config.prime_hi,
-                               config.exclusions)
-    report = scan_next_term(spec, tpl, primes, cands, max_power=config.max_power)
+    primes = admissible_primes(spec, tpl, *args.primes, args.exclude)
+    report = scan_next_term(spec, tpl, primes, args.candidates, max_power=args.max_power)
+    lines = [f"{spec.name}: scan outcome = {report.outcome}"]
+    if report.note:
+        lines.append(f"  {report.note}")
+    if report.defect_exponent is not None:
+        lines.append(f"  first defect at p^{report.defect_exponent}")
+    for cand in report.candidates:
+        val = "none" if cand.coefficient is None else str(cand.coefficient)
+        extra = f" ({cand.note})" if cand.note else ""
+        lines.append(f"  {cand.constant!r}: coefficient {val}{extra}")
     payload = {"command": "scan", "series": spec.name, **report.as_dict()}
-    if config.out_format == "json":
-        _emit_json(config, payload)
-    else:
-        lines = [f"{spec.name}: scan outcome = {report.outcome}"]
-        if report.note:
-            lines.append(f"  {report.note}")
-        if report.defect_exponent is not None:
-            lines.append(f"  first defect at p^{report.defect_exponent}")
-        for cand in report.candidates:
-            val = "none" if cand.coefficient is None else str(cand.coefficient)
-            extra = f" ({cand.note})" if cand.note else ""
-            lines.append(f"  {cand.constant!r}: coefficient {val}{extra}")
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, payload, "\n".join(lines) + "\n"
 
 
-_DRIVERS = {
-    "sum-check": _run_sum_check,
-    "expand": _run_expand,
-    "congruence": _run_congruence,
-    "fit": _run_fit,
-    "scan": _run_scan,
-}
+def _csv(rows: list[dict]) -> str:
+    """A congruence report's rows as csv."""
+    columns = ["p", "lhs", "rhs", "pass", "defect_valuation"]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([str(row[c]).lower() if isinstance(row[c], bool) else row[c]
+                         for c in columns])
+    return buf.getvalue()
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    try:
-        config.validate()
-        return _DRIVERS[config.command](config)
-    except (SchemaError, InvariantViolation, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PrecisionUnavailable, InsufficientPrecision) as exc:
-        print(f"precision failure: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except PadicRamaError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_MATH_FAIL
+def _bounded_option(name: str, bounds: tuple[int, int]):
+    """An argparse ``type=`` that reads an integer option within ``bounds``."""
+    return lambda text: _bounded(text, name, *bounds)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -605,89 +497,79 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, template=False):
+    def command(name, run, help, template=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--spec", required=True, help="series file or fixture name")
         if template:
             p.add_argument("--template", required=True,
                            help="template file or fixture name")
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
+        if template:
+            p.add_argument("--primes", type=parse_prime_range, default="5..199",
+                           metavar="LO..HI")
+            p.add_argument("--exclude", default="", metavar="P1,P2",
+                           type=lambda text: tuple(_integer(x, "--exclude")
+                                                   for x in text.split(",") if x.strip()),
+                           help="extra primes to skip")
+        return p
 
-    def prime_args(p):
-        p.add_argument("--primes", default="5..199", metavar="LO..HI")
-        p.add_argument("--exclude", default="", metavar="P1,P2",
-                       help="extra primes to skip")
+    p = command("sum-check", _run_sum_check, "full sum vs closed form")
+    p.add_argument("--prec", type=_bounded_option("--prec", PRECISION), default=128,
+                   metavar="BITS")
 
-    p = sub.add_parser("sum-check", help="full sum vs closed form")
-    common(p)
-    p.add_argument("--prec", type=int, default=128, metavar="BITS")
-
-    p = sub.add_parser("expand", help="x-shift expansion, optionally vs claims")
-    common(p)
-    p.add_argument("--order", type=int, default=5, metavar="K")
-    p.add_argument("--prec", type=int, default=256, metavar="BITS")
+    p = command("expand", _run_expand, "x-shift expansion, optionally vs claims")
+    p.add_argument("--order", type=_bounded_option("--order", ORDER), default=5,
+                   metavar="K")
+    p.add_argument("--prec", type=_bounded_option("--prec", PRECISION), default=256,
+                   metavar="BITS")
     p.add_argument("--verify", metavar="CLAIMS", help="claims file or fixture name")
 
-    p = sub.add_parser("congruence", help="verify a template over a prime range")
-    common(p, template=True)
-    prime_args(p)
-    p.add_argument("--mod-power", type=int, metavar="M",
-                   help="override the template's modulus power")
+    p = command("congruence", _run_congruence, "verify a template over a prime range",
+                template=True)
+    p.add_argument("--mod-power", type=_bounded_option("--mod-power", MOD_POWER),
+                   metavar="M", help="override the template's modulus power")
 
-    p = sub.add_parser("fit", help="recover unknown template coefficients")
-    common(p, template=True)
-    prime_args(p)
+    command("fit", _run_fit, "recover unknown template coefficients", template=True)
 
-    p = sub.add_parser("scan", help="probe for the next term past the modulus")
-    common(p, template=True)
-    prime_args(p)
-    p.add_argument("--candidates", default="", metavar="C1,C2",
+    p = command("scan", _run_scan, "probe for the next term past the modulus",
+                template=True)
+    p.add_argument("--candidates", type=_candidates, default="", metavar="C1,C2",
                    help="one, kron:D, zeta_p:K, l_p:D:K")
-    p.add_argument("--max-power", type=int, metavar="P")
+    p.add_argument("--max-power", type=_bounded_option("--max-power", MOD_POWER),
+                   metavar="P")
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    lo, hi = (5, 199)
-    if getattr(args, "primes", None):
-        lo, hi = parse_prime_range(args.primes)
-    exclusions = tuple(
-        _integer(x, "--exclude") for x in getattr(args, "exclude", "").split(",")
-        if x.strip()
-    )
-    candidates = tuple(
-        c.strip() for c in getattr(args, "candidates", "").split(",") if c.strip()
-    )
-    return RunConfig(
-        command=args.command,
-        spec_path=args.spec,
-        template_path=getattr(args, "template", None),
-        claims_path=getattr(args, "verify", None),
-        prime_lo=lo,
-        prime_hi=hi,
-        exclusions=exclusions,
-        order=getattr(args, "order", 5),
-        precision_bits=getattr(args, "prec", 256),
-        mod_power=getattr(args, "mod_power", None),
-        candidates=candidates,
-        max_power=getattr(args, "max_power", None),
-        out_format=args.format,
-        output=args.output,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; returns the process exit code.  A malformed option
+    raises SchemaError out of argparse's ``type=`` converters and exits 2
+    like a malformed file."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
+        code, payload, text = args.run(args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        elif args.format == "csv" and args.command == "congruence":
+            text = _csv(payload["rows"])
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return code
+    except SystemExit as exc:  # argparse's own usage errors, and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        config = config_from_args(args)
-    except SchemaError as exc:
+    except (SchemaError, InvariantViolation, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(config)
+    except (PrecisionUnavailable, InsufficientPrecision) as exc:
+        print(f"precision failure: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except PadicRamaError as exc:
+        print(f"failure: {exc}", file=sys.stderr)
+        return EXIT_MATH_FAIL
 
 
 if __name__ == "__main__":

@@ -376,7 +376,8 @@ def fit_unknowns(
     rational reconstruction; the exact value is substituted before the next
     stage.  The completed template is then re-verified on the held-out top
     slice of the prime range.  ``lhs`` optionally overrides the truncated-sum
-    left side (used for synthetic data).
+    left side (used for synthetic data).  Fewer than two primes, given or
+    left after a refit, raise InvariantViolation.
     """
     known_terms = []
     for t in tpl.terms:
@@ -399,7 +400,8 @@ def fit_unknowns(
     primes = sorted(set(primes))
     while True:
         if len(primes) < 2:
-            raise ValueError("need at least two primes")
+            raise InvariantViolation(
+                "primes", f"fitting needs at least two, got {len(primes)}")
         n_held = max(1, int(round(held_out_fraction * len(primes))))
         fit_primes, held_out = primes[:-n_held], primes[-n_held:]
         residual = _lhs_residues(spec, work, fit_primes, lhs, M)

@@ -40,11 +40,9 @@ def _int_valuation(n: int, p: int) -> int:
 class PadicResidue:
     """p^v * u known modulo p^(v+m), i.e. with m known unit digits.
 
-    Three shapes occur:
+    Two shapes occur:
       * exact zero: ``is_zero`` set, remaining fields ignored (stored as 0);
-      * ordinary value: m >= 1, u in [1, p^m) with p not dividing u;
-      * zero to finite precision (from cancellation): m = 0, u = 0, meaning
-        O(p^v) -- the value is divisible by p^v and nothing more is known.
+      * ordinary value: m >= 1, u in [1, p^m) with p not dividing u.
 
     Instances are immutable and never report more precision than they hold.
     """
@@ -62,12 +60,9 @@ class PadicResidue:
             if (self.v, self.u, self.m) != (0, 0, 0):
                 raise ValueError("exact zero must carry zeroed fields")
             return
-        if self.m < 0:
-            raise ValueError("unit precision m must be >= 0")
-        if self.m == 0:
-            if self.u != 0:
-                raise ValueError("a no-digit residue must have u = 0")
-        elif not (1 <= self.u < self.p**self.m) or self.u % self.p == 0:
+        if self.m < 1:
+            raise ValueError("unit precision m must be >= 1")
+        if not (1 <= self.u < self.p**self.m) or self.u % self.p == 0:
             raise ValueError("unit must lie in [1, p^m) and be coprime to p")
 
     @classmethod
@@ -97,8 +92,6 @@ class PadicResidue:
     def __repr__(self) -> str:
         if self.is_zero:
             return f"PadicResidue(p={self.p}, 0)"
-        if self.m == 0:
-            return f"PadicResidue(p={self.p}, O({self.p}^{self.v}))"
         return (
             f"PadicResidue(p={self.p}, {self.p}^{self.v}*{self.u}"
             f" + O({self.p}^{self.v + self.m}))"

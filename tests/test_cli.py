@@ -8,6 +8,7 @@ from padic_rama.cli import (
     EXIT_OK,
     EXIT_PRECISION,
     EXIT_USAGE,
+    _candidates,
     admissible_primes,
     main,
     parse_prime_range,
@@ -17,6 +18,8 @@ from padic_rama.cli import (
     serialize_series,
     serialize_template,
 )
+from padic_rama.congruence import Kron, LQp, ZetaP
+from padic_rama.constants import ONE
 from padic_rama.errors import InvariantViolation, SchemaError
 
 FIXDIR = Path(resolve_input("eq2")).parent
@@ -208,8 +211,15 @@ MALFORMED = [
     ("eq3-claims", ("claims", 0, "constants", 0), {"sqrt": 1}),
     ("eq3-claims", ("tolerance",), "abc"),
     ("eq5", ("terms", 1, "constant"), {"zeta_p": 1}),
+    ("eq5", ("mod_power",), 40),
+    ("eq3-claims", ("order",), -1),
+    ("eq3-claims", ("order",), 17),
+    ("eq3-claims", ("claims", 0, "order"), -1),
+    ("eq3-claims", ("claims", 3, "order"), 6),
     (None, "--exclude", "a"),
     (None, "--candidates", "zeta_p:x"),
+    (None, "--primes", "5..1000001"),
+    (None, "--primes", "30..5"),
 ]
 
 
@@ -244,3 +254,41 @@ def test_max_power_bounded(capsys, power):
             "--candidates", "one", "--max-power", power]
     assert main(argv) == EXIT_USAGE
     assert "--max-power must be within 1..32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sum-check", "--spec", "eq2", "--prec", "65537"], "--prec must be within 64..65536"),
+    (["expand", "--spec", "eq2", "--prec", "63"], "--prec must be within 64..65536"),
+    (["expand", "--spec", "eq2", "--order", "17"], "--order must be within 0..16"),
+    (["congruence", "--spec", "eq2", "--template", "eq5", "--mod-power", "33"],
+     "--mod-power must be within 1..32"),
+])
+def test_option_bounds(capsys, argv, message):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_template_mod_power_bounded_like_option(tmp_path, capsys):
+    # exact constants only, so nothing else limits the modulus power
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "mod_power": 33,
+        "terms": [{"exponent": 0, "constant": "one", "coefficient": "7"}],
+    }))
+    argv = ["congruence", "--spec", "eq6", "--template", str(bad), "--primes", "5..13"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad.json:mod_power must be within 1..32\n"
+
+
+def test_fit_needs_two_primes(capsys):
+    argv = ["fit", "--spec", "eq9", "--template", "eq11-unknowns", "--primes", "7..7"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: primes: fitting needs at least two, got 1\n"
+
+
+def test_candidates_read_like_template_constants():
+    assert _candidates("one, kron:-4,zeta_p:3,l_p:-4:3") == [
+        ONE, Kron(-4), ZetaP(3), LQp(-4, 3)]
+    for bad in ("zeta", "kron", "l_p:-4", "zeta_p:3:1"):
+        with pytest.raises(SchemaError):
+            _candidates(bad)

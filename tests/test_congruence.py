@@ -304,6 +304,10 @@ class TestFitUnknowns:
         with pytest.raises(ValueError):
             fit_unknowns(series["eq2"], templates["eq5"], [5, 7, 11])
 
+    def test_one_prime_is_too_few(self, series, templates):
+        with pytest.raises(InvariantViolation, match="primes"):
+            fit_unknowns(series["eq9"], templates["eq11-unknowns"], [7])
+
 
 class TestScanNextTerm:
     def test_recovers_next_zeta_coefficient(self, series):

@@ -6,6 +6,7 @@ import pytest
 
 from padic_rama.errors import NegativeValuationSum, NonCoprimeModuli
 from padic_rama.exactnum import (
+    PadicResidue,
     ResidueClass,
     crt_combine,
     kronecker,
@@ -19,6 +20,10 @@ from padic_rama.exactnum import (
 class TestReduceRational:
     def test_zero(self):
         assert reduce_rational(Fraction(0), 7, 3).is_zero
+
+    def test_no_digit_shape_rejected(self):
+        with pytest.raises(ValueError):
+            PadicResidue(p=5, v=2, u=0, m=0)
 
     def test_unit_with_inverse_denominator(self):
         # 3 * 17 = 51 = 2*25 + 1, so 1/3 = 17 (mod 25)
