@@ -279,10 +279,12 @@ def parse_claims(path: Path | str) -> ClaimsFile:
     claims = []
     for i, raw in enumerate(_list(data["claims"], f"{where}:claims")):
         _fields(raw, f"{where}:claims[{i}]", ["order", "coefficient"])
+        at = _bounded(raw["order"], f"{where}:claims[{i}].order", ORDER[0], order)
+        if any(cl.order == at for cl in claims):
+            raise SchemaError(f"{where}:claims[{i}].order repeats order {at}")
         claims.append(
             ExpansionClaim(
-                order=_bounded(raw["order"], f"{where}:claims[{i}].order",
-                               ORDER[0], order),
+                order=at,
                 coefficient=_rational(raw["coefficient"],
                                       f"{where}:claims[{i}].coefficient"),
                 constants=tuple(

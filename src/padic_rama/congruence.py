@@ -558,10 +558,7 @@ def scan_next_term(
             continue
         classes = []
         used = 0
-        mink = _constant_k(cand)
         for p in primes:
-            if mink is not None and p < mink + 2:
-                continue
             try:
                 c = constant_mod_p(cand, p)
             except (BadPrime, PrecisionUnavailable):

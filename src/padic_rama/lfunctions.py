@@ -1,7 +1,9 @@
-"""Bernoulli numbers (exact and mod p), quadratic Dirichlet characters, the
-rational values of zeta and quadratic L-functions at non-positive integers,
-and the single p-adic digit of zeta_p(k) / L_{D,p}(k) that the congruence
-machinery consumes.
+"""Bernoulli numbers (exact, and a mod-p table kept as a test oracle),
+quadratic Dirichlet characters, the rational values of zeta and quadratic
+L-functions at non-positive integers, and the single p-adic digit of
+zeta_p(k) / L_{D,p}(k) that the congruence machinery consumes.  That digit is
+a Kummer value, -B_{m,chi}/m mod p with m = p-k, and one power sum over
+a <= f p gives B_{m,chi} mod p for zeta_p (f = 1) and for L_p alike.
 
 Convention: B_1 = -1/2 everywhere, so that zeta(1-k) = -B_k/k and
 L(1-m, chi) = -B_{m,chi}/m hold with no sign fixups.
@@ -12,6 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import BadPrime, InvariantViolation, PrecisionUnavailable
@@ -51,21 +54,14 @@ class BernoulliTableModP:
         return self.values[k]
 
 
-_table_cache: dict[int, BernoulliTableModP] = {}
-_table_lock = threading.Lock()
-
-
 def bernoulli_all_mod_p(p: int) -> BernoulliTableModP:
     """All of B_0 .. B_{p-3} mod p at once, via mod-p inversion of the power
     series (e^x - 1)/x.  O(p^2) word operations; factorials up to p-3 stay
-    invertible.
+    invertible.  No library path calls it: it is the oracle the tests hold
+    the power-sum digits of zeta_p_mod_p / L_p_mod_p against.
     """
     if p < 5:
         raise ValueError("p must be a prime >= 5")
-    with _table_lock:
-        cached = _table_cache.get(p)
-    if cached is not None:
-        return cached
     top = p - 3
     # factorials and inverse factorials mod p up to top+1
     fact = [1] * (top + 2)
@@ -85,10 +81,7 @@ def bernoulli_all_mod_p(p: int) -> BernoulliTableModP:
             s += A[j] * C[n - j]
         C[n] = -s % p
     values = tuple(C[n] * fact[n] % p for n in range(top + 1))
-    table = BernoulliTableModP(p=p, values=values)
-    with _table_lock:
-        _table_cache[p] = table
-    return table
+    return BernoulliTableModP(p=p, values=values)
 
 
 def zeta_nonpositive(s: int) -> Fraction:
@@ -169,9 +162,28 @@ def L_nonpositive(chi: QuadCharacter, s: int) -> Fraction:
     return -generalized_bernoulli(chi, m) / m
 
 
+@cache
+def _bernoulli_chi_mod_p(D: int, m: int, p: int) -> int:
+    """B_{m,chi} mod p for the character of discriminant D (D = 1: B_m), with
+    p prime to the conductor f and 2 <= m <= p-2, from the power-sum
+    congruence  sum_{a=1}^{f p} chi(a) a^m = f p B_{m,chi}  (mod p^2).
+
+    Writing a = b + p j (0 <= b < p, 0 <= j < f), a^m = b^m + m p j b^(m-1)
+    (mod p^2), and the character sums over j depend only on b mod f: the
+    sum costs p powers instead of f p.
+    """
+    f, pp = abs(D), p * p
+    chi = [kronecker(D, r or f) for r in range(f)]  # class 0 read at a = f
+    whole = sum(chi)  # b + p j runs over every class mod f
+    weight = [sum(j * chi[(s + p * j) % f] for j in range(f)) for s in range(f)]
+    total = sum((whole * b + m * p * weight[b % f]) * pow(b, m - 1, pp)
+                for b in range(1, p))
+    return total % pp // p * pow(f, -1, p) % p
+
+
 def zeta_p_mod_p(k: int, p: int) -> int:
     """The single known digit of zeta_p(k): 0 for even k (parity vanishing),
-    else zeta(1+k-p) mod p, read off the mod-p Bernoulli table.
+    else zeta(1+k-p) = -B_m/m mod p with m = p-k, B_m from a power sum.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -179,26 +191,14 @@ def zeta_p_mod_p(k: int, p: int) -> int:
         raise PrecisionUnavailable(f"zeta_p({k}) mod {p} needs p >= {k + 2}")
     if k % 2 == 0:
         return 0
-    m = p - k  # zeta(1+k-p) = zeta(1-m) = -B_m/m, with m even and <= p-3
-    table = bernoulli_all_mod_p(p)
-    return -table[m] * pow(m % p, -1, p) % p
-
-
-def _bernoulli_mod_p(j: int, table: BernoulliTableModP) -> int:
-    p = table.p
-    if j == 1:
-        return -pow(2, -1, p) % p
-    if j % 2 == 1:
-        return 0
-    if j <= p - 3:
-        return table[j]
-    raise PrecisionUnavailable(f"B_{j} mod {p} is outside the table range")
+    m = p - k  # m is even and 2 <= m <= p-3
+    return -_bernoulli_chi_mod_p(1, m, p) * pow(m, -1, p) % p
 
 
 def L_p_mod_p(chi: QuadCharacter, k: int, p: int) -> int:
     """The single known digit of L_{D,p}(k): 0 when chi(-1) = (-1)^k (the
-    parity/trivial zeros), else L(1+k-p, chi) mod p computed entirely in
-    mod-p arithmetic over the Bernoulli table.
+    parity/trivial zeros), else L(1+k-p, chi) = -B_{m,chi}/m mod p with
+    m = p-k, B_{m,chi} from a power sum over a <= f p.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -214,34 +214,4 @@ def L_p_mod_p(chi: QuadCharacter, k: int, p: int) -> int:
     if m > p - 2:
         # k = 1 with even chi would need B_{p-1}, which is not p-integral
         raise PrecisionUnavailable(f"L_p(1) of an even character needs B_{p - 1}")
-    table = bernoulli_all_mod_p(p)
-    f = chi.conductor
-    finv = pow(f % p, -1, p)
-    # weights w_j = C(m, j) * B_j mod p; only j = 1 and even j survive
-    weights = [0] * (m + 1)
-    binom = 1
-    for j in range(m + 1):
-        if j == 1 or j % 2 == 0:
-            weights[j] = binom * _bernoulli_mod_p(j, table) % p
-        binom = binom * (m - j) % p * pow(j + 1, -1, p) % p
-    total = 0
-    for a in range(1, f + 1):
-        c = chi(a)
-        if c == 0:
-            continue
-        x = a * finv % p
-        if x == 0:
-            # p | a: every positive power of a/f vanishes mod p, only the
-            # constant j = m term of the Bernoulli polynomial survives
-            total += c * weights[m]
-            continue
-        xinv = pow(x, -1, p)
-        cur = pow(x, m, p)  # x^{m-j}, starting at j = 0
-        acc = 0
-        for j in range(m + 1):
-            if weights[j]:
-                acc += weights[j] * cur % p
-            cur = cur * xinv % p
-        total += c * acc
-    B_m_chi = pow(f % p, m - 1, p) * total % p
-    return -B_m_chi * pow(m % p, -1, p) % p
+    return -_bernoulli_chi_mod_p(chi.D, m, p) * pow(m, -1, p) % p

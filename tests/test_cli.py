@@ -216,6 +216,7 @@ MALFORMED = [
     ("eq3-claims", ("order",), 17),
     ("eq3-claims", ("claims", 0, "order"), -1),
     ("eq3-claims", ("claims", 3, "order"), 6),
+    ("eq3-claims", ("claims", 1, "order"), 0),
     (None, "--exclude", "a"),
     (None, "--candidates", "zeta_p:x"),
     (None, "--primes", "5..1000001"),

@@ -1,9 +1,9 @@
 """Golden outputs: the README's CLI commands (as ``--format json`` and as
 ``--format text``), a scan that reaches the ``found`` outcome, a csv report,
-a report written with ``--output`` and the fit/scan demos, each run in a
-fresh interpreter and compared byte for byte with ``tests/golden/``.  An
-``OUTPUT`` argument is replaced by a temporary file whose bytes are compared
-after the command's standard output.
+a report written with ``--output`` and the congruence, fit and scan demos,
+each run in a fresh interpreter and compared byte for byte with
+``tests/golden/``.  An ``OUTPUT`` argument is replaced by a temporary file
+whose bytes are compared after the command's standard output.
 
 Regenerate the files (only when an output change is intended) with
 
@@ -52,6 +52,7 @@ CASES = {
     "expand-eq6-order3-output": _cli("expand", "--spec", "eq6", "--order", "3",
                                      "--prec", "128", "--output", OUTPUT,
                                      fmt="text"),
+    "demo-01": [sys.executable, "demos/01_truncated_sums_mod_prime_powers.py"],
     "demo-04": [sys.executable, "demos/04_fitting_unknown_coefficients.py"],
     "demo-05": [sys.executable, "demos/05_probing_past_the_modulus.py"],
 }

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
 
 from padic_rama.errors import BadPrime, InvariantViolation, PrecisionUnavailable
-from padic_rama.exactnum import primes_in_range
+from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.lfunctions import (
     L_nonpositive,
     L_p_mod_p,
@@ -234,3 +236,37 @@ class TestLPModP:
             L_p_mod_p(CHI4, 4, 5)  # p >= k+2 required
         with pytest.raises(PrecisionUnavailable):
             L_p_mod_p(CHI5, 1, 11)  # even character at k=1 needs B_{p-1}
+
+
+def table_digit(D, k, p):
+    """-B_{m,chi}/m mod p with m = p-k, through the Bernoulli polynomials
+    B_{m,chi} = f^(m-1) sum_{a<=f} chi(a) B_m(a/f) over the mod-p table: the
+    route the power sum replaced, kept here as its oracle."""
+    table = bernoulli_all_mod_p(p)
+    m, f = p - k, abs(D)
+    b = [table[j] if j <= p - 3 else 0 for j in range(m + 1)]  # B_{p-2} = 0
+    x = [a * pow(f, -1, p) % p for a in range(f + 1)]
+    total = sum(kronecker(D, a) * comb(m, j) * b[j] * pow(x[a], m - j, p)
+                for a in range(1, f + 1) for j in range(m + 1))
+    return -pow(f, m - 1, p) * total * pow(m, -1, p) % p
+
+
+class TestDigitOracles:
+    """The power-sum digits of zeta_p_mod_p / L_p_mod_p against the mod-p
+    Bernoulli table at large p, and zeta_p against sympy at small p."""
+
+    PRIMES = sorted(random.Random(1910).sample(primes_in_range(101, 700), 5))
+
+    @pytest.mark.parametrize("D,k", [(1, 3), (1, 5), (5, 3), (-4, 2), (-4, 4), (-23, 2)])
+    def test_power_sum_matches_table(self, D, k):
+        for p in self.PRIMES:
+            got = zeta_p_mod_p(k, p) if D == 1 else L_p_mod_p(QuadCharacter(D), k, p)
+            assert got == table_digit(D, k, p), (D, k, p)
+
+    def test_zeta_matches_sympy(self):
+        for k in (3, 5, 7, 9):
+            for p in primes_in_range(k + 2, 60):
+                m = p - k
+                z = -sympy.bernoulli(m) / m
+                want = int(z.p) * pow(int(z.q), -1, p) % p
+                assert zeta_p_mod_p(k, p) == want, (k, p)
