@@ -2,6 +2,9 @@
 verification of congruence claims over prime ranges, recovery of unknown
 rational coefficients from multi-prime residues, and scanning for the next
 term beyond a verified modulus.
+
+Fit and scan share one reader: ``_residuals`` (sum minus the known terms)
+and ``_read_coefficient`` (one slot's digits -> CRT -> rational).
 """
 
 from __future__ import annotations
@@ -266,12 +269,15 @@ class CongruenceReport:
         }
 
 
-def _row(p: int, lhs: int, rhs: int, M: int) -> CongruenceRow:
-    """One computed row; lhs and rhs are residues in [0, p^M)."""
-    if lhs == rhs:
-        return CongruenceRow(p=p, lhs=lhs, rhs=rhs, passed=True, defect_valuation=None)
-    return CongruenceRow(p=p, lhs=lhs, rhs=rhs, passed=False,
-                         defect_valuation=valuation(lhs - rhs, p))
+LhsProvider = Union[Callable[[int], int], Mapping[int, int]]
+
+
+def _lhs_residues(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int],
+                  lhs: Optional[LhsProvider], mod_power: int) -> dict[int, int]:
+    """scale * truncated sum modulo p^mod_power, or ``lhs`` when given."""
+    if lhs is None:
+        return truncated_sums_mod(spec.scaled(tpl.scale), primes, mod_power)
+    return {p: (lhs(p) if callable(lhs) else lhs[p]) % p**mod_power for p in primes}
 
 
 def verify_congruence(
@@ -283,39 +289,70 @@ def verify_congruence(
     every prime given.  Per-prime errors (bad prime, unavailable precision)
     become skipped rows, never exceptions.
     """
+    return _verify(spec, tpl, primes, None)
+
+
+def _verify(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int],
+            lhs: Optional[LhsProvider]) -> CongruenceReport:
+    """verify_congruence, with ``lhs`` (when given) in place of the sums."""
     M = tpl.modulus_power
     scaled = spec.scaled(tpl.scale)
-    sums = truncated_sums_mod(scaled, [p for p in primes if not scaled.is_bad_prime(p)], M)
+    sums = _lhs_residues(spec, tpl, [p for p in primes if not scaled.is_bad_prime(p)], lhs, M)
     rows = []
     for p in sorted(primes):
         try:
             scaled.check_prime(p)
-            lhs, rhs = sums[p], template_rhs_mod(tpl, p)
+            left, right = sums[p], template_rhs_mod(tpl, p)
         except (BadPrime, PrecisionUnavailable) as exc:
             rows.append(
                 CongruenceRow(p=p, lhs=None, rhs=None, passed=False,
                               defect_valuation=None, note=str(exc))
             )
             continue
-        rows.append(_row(p, lhs, rhs, M))
+        rows.append(CongruenceRow(
+            p=p, lhs=left, rhs=right, passed=left == right,
+            defect_valuation=None if left == right else valuation(left - right, p),
+        ))
     return CongruenceReport(series=spec.name, modulus_power=M, rows=tuple(rows))
 
 
-LhsProvider = Union[Callable[[int], int], Mapping[int, int]]
+def _residuals(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int], m: int,
+               lhs: Optional[LhsProvider] = None) -> dict[int, int]:
+    """At each prime, scale * truncated sum (or ``lhs``) minus every known
+    template term, modulo p^m; structural zeros contribute nothing."""
+    sums = _lhs_residues(spec, tpl, primes, lhs, m)
+    known = [t for t in tpl.terms if t.known]
+    return {p: (sums[p] - sum(_term_mod(t, p, m) for t in known)) % p**m for p in primes}
 
 
-def _lhs_residues(
-    spec: SeriesSpec,
-    tpl: ExpansionTemplate,
-    primes: Sequence[int],
-    lhs: Optional[LhsProvider],
-    mod_power: int,
-) -> dict[int, int]:
-    if lhs is None:
-        return truncated_sums_mod(spec.scaled(tpl.scale), primes, mod_power)
-    if callable(lhs):
-        return {p: lhs(p) % p**mod_power for p in primes}
-    return {p: lhs[p] % p**mod_power for p in primes}
+def _read_coefficient(
+    constant: TemplateConstant, e: int, w: int, residuals: Mapping[int, int]
+) -> tuple[Optional[Fraction], int]:
+    """The rational r with r * constant(p) matching digits p^e .. p^(e+w-1)
+    of the residual at every prime: CRT, then rational reconstruction.
+
+    Returns (r, or None when no bounded rational fits; primes used).  A
+    residual that p^e does not divide raises InconsistentResidues.  A prime
+    where the constant is unavailable or not a unit is skipped; when none is
+    left, PrecisionUnavailable.
+    """
+    classes = []
+    for p, r in residuals.items():
+        if r % p**e:
+            raise InconsistentResidues(
+                f"residual at p={p} has valuation {valuation(r, p)} below the slot p^{e}"
+            )
+        try:
+            c = constant_mod_p(constant, p)
+        except (BadPrime, PrecisionUnavailable):
+            continue
+        if c % p == 0:
+            continue  # this prime carries no information for the coefficient
+        pw = p**w
+        classes.append(ResidueClass(r // p**e * pow(c, -1, pw) % pw, pw))
+    if not classes:
+        raise PrecisionUnavailable(f"{constant!r} is not a unit at any prime given")
+    return rational_reconstruct(crt_combine(classes)), len(classes)
 
 
 @dataclass(frozen=True)
@@ -324,41 +361,14 @@ class FitResult:
     template: ExpansionTemplate
     fit_primes: tuple[int, ...]
     held_out_primes: tuple[int, ...]
-    held_out_report: Optional[CongruenceReport]
+    held_out_report: CongruenceReport
 
     @property
     def held_out_ok(self) -> bool:
-        return self.held_out_report is None or self.held_out_report.all_pass
+        return self.held_out_report.all_pass
 
 
-def _recover(
-    term: TemplateTerm, w: int, residual: Mapping[int, int], primes: Sequence[int]
-) -> Fraction:
-    """The rational coefficient of ``term`` from the residuals' digits
-    p^e .. p^(e+w-1) at every prime: CRT, then rational reconstruction."""
-    e = term.exponent
-    classes = []
-    for p in primes:
-        r = residual[p]
-        if r % p**e != 0:
-            raise InconsistentResidues(
-                f"residual at p={p} has valuation below the slot p^{e}"
-            )
-        c = constant_mod_p(term.constant, p)
-        if c % p == 0:
-            continue  # this prime carries no information for the coefficient
-        pw = p**w
-        classes.append(ResidueClass(r // p**e * pow(c, -1, pw) % pw, pw))
-    if not classes:
-        raise ReconstructionFailed("no prime constrained the coefficient")
-    combined = crt_combine(classes)
-    value = rational_reconstruct(combined)
-    if value is None:
-        raise ReconstructionFailed(
-            f"no bounded rational matches residue class mod {combined.modulus}; "
-            "increase the prime count"
-        )
-    return value
+HELD_OUT_FRACTION = 0.2  # top share of the prime range that re-checks a fit
 
 
 def fit_unknowns(
@@ -366,33 +376,30 @@ def fit_unknowns(
     tpl: ExpansionTemplate,
     primes: Sequence[int],
     *,
-    held_out_fraction: float = 0.2,
     lhs: Optional[LhsProvider] = None,
 ) -> FitResult:
     """Recover the unknown rational coefficients by digit peeling.
 
-    Stage i isolates r_i modulo p^(e_{i+1} - e_i) at every fit prime (the
-    final stage uses M - e_t), CRT-combines across primes, and applies
-    rational reconstruction; the exact value is substituted before the next
+    Stage i reads r_i from the residual's digits p^(e_i) .. p^(e_{i+1} - 1)
+    at every fit prime (the final stage up to p^(M-1)) with
+    ``_read_coefficient``; the exact value is substituted before the next
     stage.  The completed template is then re-verified on the held-out top
-    slice of the prime range.  ``lhs`` optionally overrides the truncated-sum
-    left side (used for synthetic data).  Fewer than two primes, given or
-    left after a refit, raise InvariantViolation.
+    HELD_OUT_FRACTION of the prime range.  ``lhs`` optionally overrides the
+    truncated-sum left side (used for synthetic data).  A template with no
+    unknown, or fewer than two primes, given or left after a refit, raise
+    InvariantViolation.
     """
-    known_terms = []
     for t in tpl.terms:
-        if is_structural_zero(t.constant):
-            if not t.known:
-                raise InvariantViolation(
-                    "template",
-                    f"unknown coefficient on the structurally zero constant "
-                    f"{t.constant!r}",
-                )
-            continue  # drop: contributes nothing at any prime
-        known_terms.append(t)
-    work = replace(tpl, terms=tuple(known_terms))
+        if is_structural_zero(t.constant) and not t.known:
+            raise InvariantViolation(
+                "template",
+                f"unknown coefficient on the structurally zero constant {t.constant!r}",
+            )
+    # a structural zero contributes nothing at any prime
+    work = replace(tpl, terms=tuple(t for t in tpl.terms
+                                    if not is_structural_zero(t.constant)))
     if work.fully_known:
-        raise ValueError("template has no unknown coefficients to fit")
+        raise InvariantViolation("template", 'no "?" coefficient to fit')
 
     M = work.modulus_power
     exps = [t.exponent for t in work.terms]
@@ -402,17 +409,23 @@ def fit_unknowns(
         if len(primes) < 2:
             raise InvariantViolation(
                 "primes", f"fitting needs at least two, got {len(primes)}")
-        n_held = max(1, int(round(held_out_fraction * len(primes))))
+        n_held = max(1, round(HELD_OUT_FRACTION * len(primes)))
         fit_primes, held_out = primes[:-n_held], primes[-n_held:]
-        residual = _lhs_residues(spec, work, fit_primes, lhs, M)
+        residual = _residuals(spec, work, fit_primes, M, lhs)
         recovered: list[Fraction] = []
         for term, w in zip(work.terms, windows):
-            if not term.known:
-                value = _recover(term, w, residual, fit_primes)
-                if any(value.denominator % p == 0 for p in primes):
-                    break
-                recovered.append(value)
-                term = replace(term, coefficient=value)
+            if term.known:
+                continue
+            value, used = _read_coefficient(term.constant, term.exponent, w, residual)
+            if value is None:
+                raise ReconstructionFailed(
+                    f"no bounded rational fits the coefficient at p^{term.exponent} "
+                    f"(primes used: {used}); increase the prime count"
+                )
+            if any(value.denominator % p == 0 for p in primes):
+                break
+            recovered.append(value)
+            term = replace(term, coefficient=value)
             for p in fit_primes:
                 residual[p] = (residual[p] - _term_mod(term, p, M)) % p**M
         else:
@@ -420,27 +433,19 @@ def fit_unknowns(
         # refit without the range primes dividing the recovered denominator
         primes = [p for p in primes if value.denominator % p != 0]
 
-    for p in fit_primes:
-        if residual[p] % p**M != 0:
+    for p, r in residual.items():
+        if r:
             raise InconsistentResidues(
                 f"template does not explain the residue at p={p} modulo p^{M}"
             )
 
     completed = work.with_coefficients(recovered)
-    report = None
-    if held_out and lhs is None:
-        report = verify_congruence(spec, completed, held_out)
-    elif held_out:
-        ho = _lhs_residues(spec, completed, held_out, lhs, M)
-        rows = tuple(_row(p, ho[p], template_rhs_mod(completed, p), M)
-                     for p in held_out)
-        report = CongruenceReport(series=spec.name, modulus_power=M, rows=rows)
     return FitResult(
         coefficients=tuple(recovered),
         template=completed,
         fit_primes=tuple(fit_primes),
         held_out_primes=tuple(held_out),
-        held_out_report=report,
+        held_out_report=_verify(spec, completed, held_out, lhs),
     )
 
 
@@ -492,11 +497,17 @@ def scan_next_term(
     Templates whose last term carries a one-digit constant (zeta_p / L_p)
     cannot be probed past their modulus -- the constant's own next digit is
     unknown -- and the scan reports that outcome instead of guessing.
+    ``max_power`` (default M + 4) must exceed M, else InvariantViolation;
+    a template that fails modulo p^M at some prime raises
+    InconsistentResidues.
     """
     if not tpl.fully_known:
         raise UnknownCoefficient("template has unresolved coefficients")
     M = tpl.modulus_power
     limit = max_power if max_power is not None else M + 4
+    if limit <= M:
+        raise InvariantViolation(
+            "max_power", f"must exceed the template's mod_power {M}, got {limit}")
     known_power = min(
         (t.exponent + 1 for t in tpl.terms
          if isinstance(t.constant, (ZetaP, LQp)) and not is_structural_zero(t.constant)),
@@ -521,20 +532,17 @@ def scan_next_term(
 
     primes = sorted(set(primes))
     # all surviving constants are exact (One/Kron), so the template extends
-    # to any modulus; structural zeros contribute nothing and are dropped
-    deep = ExpansionTemplate(
-        terms=tuple(t for t in tpl.terms if not is_structural_zero(t.constant)),
-        modulus_power=limit,
-        scale=tpl.scale,
-    )
-    sums = truncated_sums_mod(spec.scaled(tpl.scale), primes, limit)
-    defects = {p: (sums[p] - template_rhs_mod(deep, p)) % p**limit for p in primes}
+    # to any modulus
+    defects = _residuals(spec, tpl, primes, limit)
+    failing = next((p for p in primes if defects[p] % p**M), None)
+    if failing is not None:
+        raise InconsistentResidues(
+            f"template fails below its modulus: at p={failing} the defect has "
+            f"valuation {valuation(defects[failing], failing)} < {M}"
+        )
 
-    exponent = None
-    for e in range(M, limit):
-        if any(d % p ** (e + 1) != 0 for p, d in defects.items()):
-            exponent = e
-            break
+    exponent = next((e for e in range(M, limit)
+                     if any(d % p ** (e + 1) for p, d in defects.items())), None)
     if exponent is None:
         return ScanReport(
             outcome="no_defect",
@@ -556,29 +564,9 @@ def scan_next_term(
                                      primes_used=0,
                                      note="structurally zero constant"))
             continue
-        classes = []
-        used = 0
-        for p in primes:
-            try:
-                c = constant_mod_p(cand, p)
-            except (BadPrime, PrecisionUnavailable):
-                continue
-            if c % p == 0:
-                continue
-            classes.append(ResidueClass(digits[p] * pow(c, -1, p) % p, p))
-            used += 1
-        if not classes:
-            raise PrecisionUnavailable(
-                f"candidate {cand!r} is not evaluable at any scan prime"
-            )
-        value = rational_reconstruct(crt_combine(classes))
-        if value is None:
-            fits.append(CandidateFit(constant=cand, coefficient=None,
-                                     primes_used=used,
-                                     note="no bounded rational fits"))
-        else:
-            fits.append(CandidateFit(constant=cand, coefficient=value,
-                                     primes_used=used))
+        value, used = _read_coefficient(cand, exponent, 1, defects)
+        fits.append(CandidateFit(constant=cand, coefficient=value, primes_used=used,
+                                 note="no bounded rational fits" if value is None else ""))
     return ScanReport(
         outcome="found",
         defect_exponent=exponent,

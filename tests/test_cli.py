@@ -18,7 +18,7 @@ from padic_rama.cli import (
     serialize_series,
     serialize_template,
 )
-from padic_rama.congruence import Kron, LQp, ZetaP
+from padic_rama.congruence import Kron, LQp, ZetaP, constant_mod_p
 from padic_rama.constants import ONE
 from padic_rama.errors import InvariantViolation, SchemaError
 
@@ -221,6 +221,7 @@ MALFORMED = [
     (None, "--candidates", "zeta_p:x"),
     (None, "--primes", "5..1000001"),
     (None, "--primes", "30..5"),
+    ("eq8-unknowns", ("terms",), [{"exponent": 0, "constant": "one", "coefficient": "7"}]),
 ]
 
 
@@ -244,6 +245,7 @@ def test_malformed_input_exits_usage(tmp_path, capsys, fixture, key, value):
             "eq2": ["sum-check", "--spec", str(bad)],
             "eq5": ["congruence", "--spec", "eq2", "--template", str(bad), *primes],
             "eq3-claims": ["expand", "--spec", "eq2", "--verify", str(bad)],
+            "eq8-unknowns": ["fit", "--spec", "eq6", "--template", str(bad), *primes],
         }[fixture]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
@@ -255,6 +257,62 @@ def test_max_power_bounded(capsys, power):
             "--candidates", "one", "--max-power", power]
     assert main(argv) == EXIT_USAGE
     assert "--max-power must be within 1..32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("power", ["2", "5"])
+def test_max_power_must_exceed_mod_power(tmp_path, capsys, power):
+    head = tmp_path / "head.json"  # verifies for eq2 modulo p^5
+    head.write_text(json.dumps({
+        "mod_power": 5,
+        "terms": [{"exponent": 2, "constant": "one", "coefficient": "1"}],
+    }))
+    argv = ["scan", "--spec", "eq2", "--template", str(head), "--primes", "5..60",
+            "--candidates", "one", "--max-power", power]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: max_power: must exceed the template's mod_power 5, got {power}\n")
+
+
+def test_scan_rejects_template_failing_below_modulus(tmp_path, capsys):
+    # eq6's sum is 7 mod p, so the constant 8 fails at p^0 at every prime
+    bad = tmp_path / "seed-8.json"
+    bad.write_text(json.dumps({
+        "mod_power": 1,
+        "terms": [{"exponent": 0, "constant": "one", "coefficient": "8"}],
+    }))
+    argv = ["scan", "--spec", "eq6", "--template", str(bad), "--primes", "5..60",
+            "--candidates", "one,zeta_p:3"]
+    assert main(argv) == EXIT_MATH_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at p=5 the defect has valuation 0 < 1" in captured.err
+
+
+def _json_run(argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--output", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+def test_fit_and_scan_read_the_same_coefficient(tmp_path):
+    # scan's p^3 defect of the seed '7' is the slot fit reads for eq8's zeta_p(3)
+    seed = str(Path(__file__).parent / "fixtures" / "seed-7.json")
+    scan = _json_run(["scan", "--spec", "eq6", "--template", seed,
+                      "--candidates", "zeta_p:3,zeta_p:5,kron:5"], tmp_path)
+    fit = _json_run(["fit", "--spec", "eq6", "--template", "eq8-unknowns"], tmp_path)
+    assert scan["defect_exponent"] == 3
+    assert scan["candidates"][0]["coefficient"] == fit["coefficients"][1] == "-105/2"
+    # a candidate counts only the primes where it is a unit: zeta_p(5) needs
+    # p >= 7, and kron:5 vanishes at 5
+    primes = [int(p) for p in scan["digits"]]
+    units = {
+        "ZetaP(k=3)": [p for p in primes if p >= 5 and constant_mod_p(ZetaP(3), p)],
+        "ZetaP(k=5)": [p for p in primes if p >= 7 and constant_mod_p(ZetaP(5), p)],
+        "Kron(disc=5)": [p for p in primes if p != 5],
+    }
+    assert {c["constant"]: c["primes_used"] for c in scan["candidates"]} == {
+        name: len(used) for name, used in units.items()}
+    assert len(units["ZetaP(k=5)"]) < len(primes)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -301,7 +301,7 @@ class TestFitUnknowns:
         assert res.held_out_ok
 
     def test_nothing_to_fit(self, series, templates):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolation, match="template"):
             fit_unknowns(series["eq2"], templates["eq5"], [5, 7, 11])
 
     def test_one_prime_is_too_few(self, series, templates):
@@ -331,6 +331,14 @@ class TestScanNextTerm:
                                 [7, 11, 13], [ZetaP(5), ONE])
         assert report.outcome == "indeterminate"
         assert "unknowable" in report.note
+
+    def test_failing_template_rejected_without_a_digit_read(self, series):
+        # eq6's sum is 7 mod p, so 8 fails at p^0; the structurally zero
+        # candidate reads no digit, and the scan must still refuse the template
+        t = tpl([(0, ONE, 8)], 1)
+        primes = admissible_primes(series["eq6"], t, 5, 60)
+        with pytest.raises(InconsistentResidues, match="p=5 .* valuation 0"):
+            scan_next_term(series["eq6"], t, primes, [ZetaP(2)])
 
     def test_structural_zero_candidate_flagged(self, series):
         t = tpl([(0, ONE, 7)], 1)
