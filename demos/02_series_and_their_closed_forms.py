@@ -1,8 +1,10 @@
 """Full sums against their closed forms at high precision.
 
-numeric_sum picks the term count from a certified geometric tail bound, so
-the returned (value, bound) pair is honest: tightening the precision only
-moves the value within the previous bound.
+numeric_sum sums the series exactly, in integers, from the recurrence that
+also gives the truncated sums modulo p^m, and rounds once at the end.  It
+picks the term count from a geometric tail bound, so the returned
+(value, bound) pair is honest: tightening the precision only moves the value
+within the previous bound.
 """
 
 from mpmath import mp

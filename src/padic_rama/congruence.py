@@ -385,9 +385,11 @@ def fit_unknowns(
     ``_read_coefficient``; the exact value is substituted before the next
     stage.  The completed template is then re-verified on the held-out top
     HELD_OUT_FRACTION of the prime range.  ``lhs`` optionally overrides the
-    truncated-sum left side (used for synthetic data).  A template with no
-    unknown, or fewer than two primes, given or left after a refit, raise
-    InvariantViolation.
+    truncated-sum left side (used for synthetic data).  The template's
+    ``admissibility_exclusions`` are dropped from the primes first, as the
+    peeling step cannot evaluate a term at a kron/l_p discriminant prime.  A
+    template with no unknown, or fewer than two primes, given or left after
+    a refit, raise InvariantViolation.
     """
     for t in tpl.terms:
         if is_structural_zero(t.constant) and not t.known:
@@ -404,7 +406,7 @@ def fit_unknowns(
     M = work.modulus_power
     exps = [t.exponent for t in work.terms]
     windows = [b - a for a, b in zip(exps, exps[1:])] + [M - exps[-1]]
-    primes = sorted(set(primes))
+    primes = sorted(set(primes) - work.admissibility_exclusions())
     while True:
         if len(primes) < 2:
             raise InvariantViolation(
@@ -543,20 +545,8 @@ def scan_next_term(
 
     exponent = next((e for e in range(M, limit)
                      if any(d % p ** (e + 1) for p, d in defects.items())), None)
-    if exponent is None:
-        return ScanReport(
-            outcome="no_defect",
-            defect_exponent=None,
-            digits={p: 0 for p in primes},
-            candidates=tuple(
-                CandidateFit(constant=c, coefficient=Fraction(0),
-                             primes_used=len(primes))
-                for c in candidates
-            ),
-            note=f"sum agrees with the template modulo p^{limit} at every prime",
-        )
-
-    digits = {p: defects[p] // p**exponent % p for p in primes}
+    # with no defect every candidate reads the all-zero digit at p^(limit-1)
+    slot = limit - 1 if exponent is None else exponent
     fits = []
     for cand in candidates:
         if is_structural_zero(cand):
@@ -564,12 +554,14 @@ def scan_next_term(
                                      primes_used=0,
                                      note="structurally zero constant"))
             continue
-        value, used = _read_coefficient(cand, exponent, 1, defects)
+        value, used = _read_coefficient(cand, slot, 1, defects)
         fits.append(CandidateFit(constant=cand, coefficient=value, primes_used=used,
                                  note="no bounded rational fits" if value is None else ""))
     return ScanReport(
-        outcome="found",
+        outcome="no_defect" if exponent is None else "found",
         defect_exponent=exponent,
-        digits=digits,
+        digits={p: defects[p] // p**slot % p for p in primes},
         candidates=tuple(fits),
+        note=(f"sum agrees with the template modulo p^{limit} at every prime"
+              if exponent is None else ""),
     )

@@ -1,15 +1,16 @@
 """Data model and evaluators for Ramanujan-like hypergeometric series:
-exact terms, exact truncated sums over n = 0..p-1, their residues modulo p^m
-at many primes from one integer recurrence, and high-precision numeric
-evaluation of the full sums against their closed forms.
+exact terms, exact truncated sums over n = 0..p-1, and one integer
+recurrence for both their residues modulo p^m at many primes and the full
+sums, summed exactly and rounded once, to check against their closed forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from mpmath import mp, mpf
 
@@ -187,16 +188,33 @@ def _integer_factors(spec: SeriesSpec):
     return num, den, a, b, spec.multiplier * lin_den / poly_den
 
 
+def _partial_sums(factors) -> Iterator[tuple[int, int, int]]:
+    """The one integer recurrence behind every sum of a series: with
+    (num, den, a, b, c) from ``_integer_factors``, yield (N, D, T) for
+    n = 0, 1, ..., where N/D is the sum of terms 0..n and T/D is term n.
+    With H = c.numerator times the product of num(k)*b(k) over k < n, adding
+    term n is N <- N*b(n) + a(n)*H, D <- D*b(n); advancing the ratio
+    multiplies N and D by den(n) and H by num(n)*b(n), all small integers.
+    """
+    num, den, a, b, c = factors
+    N, D, H = 0, c.denominator, c.numerator
+    for n in itertools.count():
+        bn = b(n)
+        T = a(n) * H
+        N = N * bn + T
+        D *= bn
+        yield N, D, T
+        dn = den(n)
+        N *= dn
+        D *= dn
+        H *= num(n) * bn
+
+
 def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[int, int]:
     """The truncated sum over n < p modulo p^m, as an integer in [0, p^m),
-    for every prime p given, from one exact pass over n < max(primes).
-
-    With the integer factors of ``_integer_factors`` the partial sum through
-    term n is c*N/D, kept exactly; H is the product of num(k)*b(k) over k < n.
-    Adding term n is N <- N*b(n) + a(n)*H, D <- D*b(n); advancing the ratio
-    multiplies N and D by den(n) and H by num(n)*b(n).  Every step multiplies
-    by small integers only.  At p, with v = v_p(D) found exactly, the sum is
-    (c*N / p^v) * (D / p^v)^-1 modulo p^m, read from N and D modulo p^(v+m).
+    for every prime p given, from one exact pass of ``_partial_sums`` over
+    n < max(primes).  At p, with v = v_p(D) found exactly, the sum is
+    (N / p^v) * (D / p^v)^-1 modulo p^m, read from N and D modulo p^(v+m).
 
     Raises BadPrime when a prime divides a structural denominator, and
     NegativeValuationSum at the first prime where the sum is not p-integral.
@@ -206,30 +224,23 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
     primes = sorted(set(primes))
     for p in primes:
         spec.check_prime(p)
-    num, den, a, b, c = _integer_factors(spec)
     out: dict[int, int] = {}
-    N, D, H = 0, 1, 1
-    for n in range(primes[-1] if primes else 0):
-        bn = b(n)
-        N = N * bn + a(n) * H
-        D *= bn
+    sums = _partial_sums(_integer_factors(spec))
+    for n, (N, D, _) in zip(range(primes[-1] if primes else 0), sums):
         p = n + 1
-        if p == primes[len(out)]:
-            v = 0
-            while D % p ** (v + 1) == 0:
-                v += 1
-            pv, pm = p**v, p**m
-            top = N % (pv * pm) * c.numerator % (pv * pm)
-            if top % pv:
-                raise NegativeValuationSum(
-                    f"{spec.name} at p={p}: sum has valuation {valuation(top, p) - v}"
-                )
-            unit = D % (pv * pm) // pv * c.denominator
-            out[p] = top // pv * pow(unit, -1, pm) % pm
-        dn = den(n)
-        N *= dn
-        D *= dn
-        H *= num(n) * bn
+        if p != primes[len(out)]:
+            continue
+        v = 0
+        while D % p ** (v + 1) == 0:
+            v += 1
+        pv, pm = p**v, p**m
+        top = N % (pv * pm)
+        if top % pv:
+            raise NegativeValuationSum(
+                f"{spec.name} at p={p}: sum has valuation {valuation(top, p) - v}"
+            )
+        unit = D % (pv * pm) // pv
+        out[p] = top // pv * pow(unit, -1, pm) % pm
     return out
 
 
@@ -239,38 +250,34 @@ def truncated_sum_mod(spec: SeriesSpec, p: int, m: int) -> int:
 
 
 def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
-    """(value, certified_bound): the full sum truncated once the geometric
-    tail bound (last term * r/(1-r), with a safety-inflated ratio r) drops
-    below 2^-precision_bits.
+    """(value, certified_bound): the full sum, summed exactly in integers by
+    ``_partial_sums`` and rounded once, to precision_bits + 48 bits.
+
+    Summation stops before term n once the geometric tail bound
+    |term n| / (1 - r) is below 2^-precision_bits, tested exactly; r is
+    max(base, |term n / term n-1|) inflated by (1 + 8/n) to cover residual
+    polynomial growth.  The bound adds (terms + 1) * eps * (|value| + 1).
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    with mp.workprec(precision_bits + 48):
-        target = mpf(2) ** (-precision_bits)
-        base_m = to_mpf(spec.base)
-        h = to_mpf(spec.multiplier)
-        total = mp.zero
-        n = 0
-        t_cur = h * to_mpf(spec.poly_at(0) / spec.linear_at(0))
-        terms = 0
-        while True:
-            total += t_cur
-            terms += 1
-            h = h * to_mpf(spec.hyper_ratio(n))
-            n += 1
-            t_next = h * to_mpf(spec.poly_at(n) / spec.linear_at(n))
-            if t_cur != 0:
-                rho = abs(t_next / t_cur)
-            else:
-                rho = base_m
-            # safety-inflated ratio covering residual polynomial growth
-            r_star = max(base_m, rho) * (1 + mpf(8) / n)
-            if r_star < 1:
-                tail = abs(t_next) / (1 - r_star)
-                if tail < target:
-                    rounding = (terms + 1) * mp.eps * (abs(total) + 1)
-                    return +total, +(tail + rounding)
-            t_cur = t_next
+    num, den, a, b, _ = factors = _integer_factors(spec)
+    sums = _partial_sums(factors)
+    N, D, _ = next(sums)  # N/D: terms 0..n-1
+    for n, (N_next, D_next, T) in enumerate(sums, 1):  # T/D_next: term n
+        a_prev = a(n - 1)
+        rho = (Fraction(abs(a(n) * num(n - 1) * b(n - 1)),
+                        abs(a_prev * den(n - 1) * b(n))) if a_prev else spec.base)
+        r = max(spec.base, rho) * Fraction(n + 8, n)
+        if r < 1:
+            # the tail bound is top/bot; stop when it is below 2^-precision_bits
+            top = abs(T) * r.denominator
+            bot = abs(D_next) * (r.denominator - r.numerator)
+            if top << precision_bits < bot:
+                with mp.workprec(precision_bits + 48):
+                    total = mp.fdiv(N, D)
+                    rounding = (n + 1) * mp.eps * (abs(total) + 1)
+                    return total, mp.fdiv(top, bot) + rounding
+        N, D = N_next, D_next
 
 
 def rhs_value(spec: SeriesSpec, precision_bits: int) -> mpf:

@@ -315,6 +315,24 @@ def test_fit_and_scan_read_the_same_coefficient(tmp_path):
     assert len(units["ZetaP(k=5)"]) < len(primes)
 
 
+def test_no_defect_reads_candidates_like_found(tmp_path, capsys):
+    # seed 7 holds for eq6 modulo p^3, so no digit below p^3 is a defect
+    seed = str(Path(__file__).parent / "fixtures" / "seed-7.json")
+    argv = ["scan", "--spec", "eq6", "--template", seed, "--primes", "5..60",
+            "--max-power", "3", "--candidates"]
+    scan = _json_run([*argv, "zeta_p:2,zeta_p:5,one"], tmp_path)
+    assert scan["outcome"] == "no_defect"
+    primes = [int(p) for p in scan["digits"]]
+    zeta5 = [p for p in primes if p >= 7 and constant_mod_p(ZetaP(5), p)]
+    assert [(c["coefficient"], c["primes_used"], c["note"])
+            for c in scan["candidates"]] == [
+        (None, 0, "structurally zero constant"), ("0", len(zeta5), ""),
+        ("0", len(primes), "")]
+    # zeta_p(101) has no digit at any prime below 103
+    assert main([*argv, "zeta_p:101"]) == EXIT_PRECISION
+    assert "ZetaP(k=101) is not a unit at any prime given" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sum-check", "--spec", "eq2", "--prec", "65537"], "--prec must be within 64..65536"),
     (["expand", "--spec", "eq2", "--prec", "63"], "--prec must be within 64..65536"),

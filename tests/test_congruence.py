@@ -300,6 +300,16 @@ class TestFitUnknowns:
         assert res.fit_primes + res.held_out_primes == tuple(primes[:-1])
         assert res.held_out_ok
 
+    def test_discriminant_prime_dropped_before_split(self):
+        # kron:5 vanishes at 5, where the peeling step cannot subtract its term
+        primes = primes_in_range(5, 23)
+        truth = {p: (3 - 2 * kronecker(5, p) * p) % p**2 for p in primes}
+        t = tpl([(0, ONE, None), (1, Kron(5), None)], 2)
+        res = fit_unknowns(ZERO_SPEC, t, primes, lhs=truth)
+        assert res.coefficients == (F(3), F(-2))
+        assert res.fit_primes + res.held_out_primes == tuple(primes[1:])
+        assert res.held_out_ok
+
     def test_nothing_to_fit(self, series, templates):
         with pytest.raises(InvariantViolation, match="template"):
             fit_unknowns(series["eq2"], templates["eq5"], [5, 7, 11])

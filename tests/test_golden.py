@@ -1,13 +1,16 @@
 """Golden outputs: the README's CLI commands (as ``--format json`` and as
 ``--format text``), a scan that reaches the ``found`` outcome, a csv report,
-a report written with ``--output`` and the congruence, fit and scan demos,
+a report written with ``--output``, a sum-check at 4096 bits and the demos,
 each run in a fresh interpreter and compared byte for byte with
 ``tests/golden/``.  An ``OUTPUT`` argument is replaced by a temporary file
 whose bytes are compared after the command's standard output.
 
 Regenerate the files (only when an output change is intended) with
 
-    python tests/test_golden.py
+    python tests/test_golden.py [NAME...]
+
+which rewrites the named cases and their ``exit-codes.json`` entries, or
+every case when no name is given.
 """
 
 import json
@@ -52,7 +55,10 @@ CASES = {
     "expand-eq6-order3-output": _cli("expand", "--spec", "eq6", "--order", "3",
                                      "--prec", "128", "--output", OUTPUT,
                                      fmt="text"),
+    "sum-check-eq9-4096": _cli("sum-check", "--spec", "eq9", "--prec", "4096"),
     "demo-01": [sys.executable, "demos/01_truncated_sums_mod_prime_powers.py"],
+    "demo-02": [sys.executable, "demos/02_series_and_their_closed_forms.py"],
+    "demo-03": [sys.executable, "demos/03_shift_expansion_and_recognition.py"],
     "demo-04": [sys.executable, "demos/04_fitting_unknown_coefficients.py"],
     "demo-05": [sys.executable, "demos/05_probing_past_the_modulus.py"],
 }
@@ -77,9 +83,13 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for case in CASES:
+    codes = json.loads(EXIT_CODES.read_text()) if sys.argv[1:] else {}
+    for case in names:
         out, codes[case] = _run(case)
         (GOLDEN / f"{case}.out").write_bytes(out)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,31 @@ class TestNumericSum:
             v256, _ = numeric_sum(spec, 256)
             with mp.workprec(300):
                 assert abs(v128 - v256) < b128, spec.name
+
+    @pytest.mark.parametrize("name, bits", [
+        *((name, 512) for name in ["eq2", "eq6", "eq9", "gourevitch", "eq15"]),
+        ("eq9", 8192),
+    ])
+    def test_value_is_a_partial_sum_rounded_once(self, series, name, bits):
+        # one rounding at bits + 48 leaves the value within 2 ulps of the
+        # exact partial sum nearest to it
+        spec = series[name]
+        value, _ = numeric_sum(spec, bits)
+        man, exp = value.man_exp
+        exact = F(man) * F(2) ** exp
+        ulp = F(2) ** (abs(man).bit_length() + exp - (bits + 48))
+        total, h, nearest = F(0), spec.multiplier, None
+        for n in itertools.count():
+            term = h * spec.poly_at(n) / spec.linear_at(n)
+            total += term
+            h *= spec.hyper_ratio(n)
+            if nearest is None or abs(total - exact) < abs(nearest[1] - exact):
+                nearest = n + 1, total
+            if abs(term) < ulp / 1024:
+                break
+        terms, partial = nearest
+        assert partial == truncated_sum_exact(spec, terms)
+        assert abs(partial - exact) <= 2 * ulp
 
     def test_term_ratio_approaches_signed_base(self, series):
         spec = series["eq2"]
