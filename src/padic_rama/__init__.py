@@ -39,7 +39,6 @@ from .expansion import (
     verify_expansion,
 )
 from .lfunctions import (
-    BernoulliTableModP,
     L_nonpositive,
     L_p_mod_p,
     QuadCharacter,

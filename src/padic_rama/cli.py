@@ -2,8 +2,8 @@
 drivers for sum checking, expansion, congruence verification, coefficient
 fitting and next-term scanning, with deterministic machine-readable reports.
 
-Exit codes: 0 all checks pass, 1 a mathematical claim failed, 2 usage or
-configuration error, 3 precision unavailable.
+Exit codes: 0 all checks pass, 1 a mathematical claim failed (or no row
+checked it), 2 usage or configuration error, 3 precision unavailable.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .congruence import (
     scan_next_term,
     verify_congruence,
 )
-from .constants import ONE, Lquad, One, PiPower, SqrtDisc, Zeta
+from .constants import ONE, Lquad, One, PiPower, SqrtDisc, Zeta, to_decimal
 from .errors import (
     InsufficientPrecision,
     InvariantViolation,
@@ -90,10 +90,11 @@ def _bounded(value, where: str, lo: int, hi: int) -> int:
 
 def _tag(make, where: str, *args):
     """make(*args), with an argument it rejects (such as a constant's index
-    outside its range) reported as a schema error naming the field."""
+    outside its range, or one that no prime can evaluate) reported as a
+    schema error naming the field."""
     try:
         return make(*args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, PadicRamaError) as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
 
@@ -363,10 +364,10 @@ def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
         "command": "sum-check",
         "series": spec.name,
         "precision_bits": bits,
-        "value": mp.nstr(value, 40),
-        "closed_form": mp.nstr(target, 40),
-        "abs_diff": mp.nstr(diff, 8),
-        "tail_bound": mp.nstr(bound, 8),
+        "value": to_decimal(value, 40),
+        "closed_form": to_decimal(target, 40),
+        "abs_diff": to_decimal(diff, 8),
+        "tail_bound": to_decimal(bound, 8),
         "pass": ok,
     }
     text = (f"{spec.name}: sum = {payload['value']}\n"
@@ -386,8 +387,8 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
             "series": spec.name,
             "order": args.order,
             "precision_bits": bits,
-            "error_bound": mp.nstr(ts.error_bound, 8),
-            "coefficients": [mp.nstr(c, 40) for c in ts.coeffs],
+            "error_bound": to_decimal(ts.error_bound, 8),
+            "coefficients": [to_decimal(c, 40) for c in ts.coeffs],
         }
         lines = [f"{spec.name}: expansion to order {args.order} "
                  f"({bits} bits, coefficient error < {payload['error_bound']})"]
@@ -400,11 +401,11 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
     )
     payload = {"command": "expand", "claims": claims.name, **report.as_dict()}
     lines = [f"{spec.name} vs claims {claims.name!r} "
-             f"(order {claims.order}, {bits} bits, tol {mp.nstr(report.tolerance, 4)})"]
+             f"(order {claims.order}, {bits} bits, tol {to_decimal(report.tolerance, 4)})"]
     for c in report.checks:
         kind = "claimed" if c.claimed else "zero"
         lines.append(
-            f"  x^{c.order} [{kind:7s}] defect {mp.nstr(c.defect, 4)} "
+            f"  x^{c.order} [{kind:7s}] defect {to_decimal(c.defect, 4)} "
             f"-> {'PASS' if c.passed else 'FAIL'}"
         )
     lines.append("all pass" if report.all_pass else "FAILURES present")

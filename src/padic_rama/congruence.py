@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
 
 from .constants import One
 from .errors import (
@@ -30,23 +30,29 @@ from .exactnum import (
     rational_reconstruct,
     valuation,
 )
-from .lfunctions import L_p_mod_p, QuadCharacter, zeta_p_mod_p
+from .lfunctions import L_p_mod_p, QuadCharacter, check_L_p, parity_zero, zeta_p_mod_p
 from .series import SeriesSpec, truncated_sums_mod
 from .series import truncated_sum_mod  # noqa: F401  (perfbench/traced.py wraps this name)
 
 
 @dataclass(frozen=True)
 class Kron:
-    """The Kronecker symbol (disc|p) as a template constant."""
+    """The Kronecker symbol (disc|p) as a template constant, disc != 0."""
 
     disc: int
+
+    def __post_init__(self) -> None:
+        if self.disc == 0:
+            raise ValueError("disc must be nonzero: (0|p) = 0 at every prime")
 
 
 @dataclass(frozen=True)
 class ZetaP:
-    """zeta_p(k) at an integer k >= 2; only its mod-p digit is available."""
+    """zeta_p(k) = L_p(k, chi_1) at an integer k >= 2; only its mod-p digit
+    is available."""
 
     k: int
+    disc: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -55,27 +61,24 @@ class ZetaP:
 
 @dataclass(frozen=True)
 class LQp:
-    """L_{D,p}(k) at an integer k >= 1; only its mod-p digit is available."""
+    """L_{D,p}(k) for a fundamental discriminant D; only its mod-p digit is
+    available, and ``check_L_p`` rejects (D, k) when no prime has one."""
 
     disc: int
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_L_p(QuadCharacter(self.disc), self.k)
 
 
 TemplateConstant = Union[One, Kron, ZetaP, LQp]
+ONE_DIGIT = (ZetaP, LQp)  # the constants that carry a single p-adic digit
 
 
 def is_structural_zero(constant: TemplateConstant) -> bool:
     """True when the constant vanishes for every admissible prime
-    (the parity zeros: zeta_p at even k, L_{D,p} with chi(-1) = (-1)^k)."""
-    if isinstance(constant, ZetaP):
-        return constant.k % 2 == 0
-    if isinstance(constant, LQp):
-        return (constant.disc > 0) == (constant.k % 2 == 0)
-    return False
+    (the parity zeros of ``lfunctions.parity_zero``)."""
+    return isinstance(constant, ONE_DIGIT) and parity_zero(constant.disc, constant.k)
 
 
 def constant_mod_p(constant: TemplateConstant, p: int) -> int:
@@ -94,20 +97,6 @@ def constant_mod_p(constant: TemplateConstant, p: int) -> int:
     if isinstance(constant, LQp):
         return L_p_mod_p(QuadCharacter(constant.disc), constant.k, p)
     raise TypeError(f"unknown template constant {constant!r}")
-
-
-def _constant_k(constant: TemplateConstant) -> Optional[int]:
-    if isinstance(constant, (ZetaP, LQp)):
-        return constant.k
-    return None
-
-
-def _constant_disc(constant: TemplateConstant) -> Optional[int]:
-    if isinstance(constant, Kron):
-        return constant.disc
-    if isinstance(constant, LQp):
-        return constant.disc
-    return None
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,7 @@ class ExpansionTemplate:
         if self.terms and exps[-1] >= M:
             raise InvariantViolation("exponents", f"last exponent must be < {M}")
         for t in self.terms:
-            if isinstance(t.constant, (ZetaP, LQp)) and M - t.exponent > 1:
+            if isinstance(t.constant, ONE_DIGIT) and M - t.exponent > 1:
                 raise InvariantViolation(
                     "exponent",
                     f"term at p^{t.exponent} carries a one-digit constant but "
@@ -176,9 +165,8 @@ class ExpansionTemplate:
         """Small primes that can never be used with this template."""
         out: set[int] = set()
         for t in self.terms:
-            disc = _constant_disc(t.constant)
-            if disc is not None:
-                out.update(prime_factors(disc))
+            if not isinstance(t.constant, One):
+                out.update(prime_factors(t.constant.disc))
             if t.coefficient is not None:
                 out.update(prime_factors(t.coefficient.denominator))
         out.update(prime_factors(self.scale.denominator))
@@ -187,12 +175,9 @@ class ExpansionTemplate:
 
     def min_prime(self) -> int:
         """Smallest p compatible with the one-digit constants (p >= k+2)."""
-        lo = 2
-        for t in self.terms:
-            k = _constant_k(t.constant)
-            if k is not None and not is_structural_zero(t.constant):
-                lo = max(lo, k + 2)
-        return lo
+        return max([2] + [t.constant.k + 2 for t in self.terms
+                          if isinstance(t.constant, ONE_DIGIT)
+                          and not is_structural_zero(t.constant)])
 
 
 def _term_mod(term: TemplateTerm, p: int, k: int) -> int:
@@ -239,7 +224,9 @@ class CongruenceReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows if not r.skipped)
+        """True when at least one row was computed and every computed row passed."""
+        computed = [r for r in self.rows if not r.skipped]
+        return bool(computed) and all(r.passed for r in computed)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -287,8 +274,11 @@ def verify_congruence(
 ) -> CongruenceReport:
     """Compare scale * truncated sum against the template modulo p^M for
     every prime given.  Per-prime errors (bad prime, unavailable precision)
-    become skipped rows, never exceptions.
+    become skipped rows, never exceptions; an empty prime list raises
+    InvariantViolation.
     """
+    if not primes:
+        raise InvariantViolation("primes", "verification needs at least one, got 0")
     return _verify(spec, tpl, primes, None)
 
 
@@ -510,12 +500,9 @@ def scan_next_term(
     if limit <= M:
         raise InvariantViolation(
             "max_power", f"must exceed the template's mod_power {M}, got {limit}")
-    known_power = min(
-        (t.exponent + 1 for t in tpl.terms
-         if isinstance(t.constant, (ZetaP, LQp)) and not is_structural_zero(t.constant)),
-        default=None,
-    )
-    if known_power is not None and known_power <= M:
+    # the template invariant puts any one-digit term at p^(M-1)
+    if any(isinstance(t.constant, ONE_DIGIT) and not is_structural_zero(t.constant)
+           for t in tpl.terms):
         return ScanReport(
             outcome="indeterminate",
             defect_exponent=None,
@@ -527,7 +514,7 @@ def scan_next_term(
             ),
             note=(
                 "the template's one-digit constant at slot "
-                f"p^{known_power - 1} caps evaluation at p^{known_power}; "
+                f"p^{M - 1} caps evaluation at p^{M}; "
                 "the defect beyond the modulus is unknowable"
             ),
         )

@@ -11,9 +11,9 @@ against sum chi(a) = 0.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from mpmath import mp, mpf
@@ -80,9 +80,6 @@ ConstantTag = Union[One, PiPower, Zeta, Lquad, SqrtDisc]
 
 ONE = One()
 
-_cache: dict[tuple[ConstantTag, int], mpf] = {}
-_cache_lock = threading.Lock()
-
 
 def to_mpf(q: Fraction | int) -> mpf:
     """Exact rational -> mpf at the ambient working precision."""
@@ -90,23 +87,23 @@ def to_mpf(q: Fraction | int) -> mpf:
     return mpf(q.numerator) / q.denominator
 
 
-def constant_value(tag: ConstantTag, precision_bits: int) -> mpf:
-    """Value of a constant tag, accurate to ~2^-precision_bits.
-
-    Results are memoized per (tag, precision); the cache is lock-protected
-    so concurrent readers are safe.
+def to_decimal(x: mpf, digits: int) -> str:
+    """``mp.nstr(x, digits)`` for a report field.  x is first rounded to
+    4*digits + 64 bits: mpmath turns a tiny number with a mantissa of more
+    than about 14300 bits into an integer past Python's 4300-digit str limit.
     """
+    with mp.workprec(4 * digits + 64):
+        return mp.nstr(mpf(x), digits)
+
+
+@cache
+def constant_value(tag: ConstantTag, precision_bits: int) -> mpf:
+    """Value of a constant tag, accurate to ~2^-precision_bits, memoized per
+    (tag, precision)."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    key = (tag, precision_bits)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
     with mp.workprec(precision_bits + _GUARD_BITS):
-        value = +_evaluate(tag)
-    with _cache_lock:
-        _cache[key] = value
-    return value
+        return +_evaluate(tag)
 
 
 def _evaluate(tag: ConstantTag) -> mpf:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .constants import ConstantTag, constant_value, to_mpf
+from .constants import ConstantTag, constant_value, to_decimal, to_mpf
 from .errors import InsufficientPrecision
 from .lattice import lll_reduce
 from .series import SeriesSpec
@@ -209,7 +209,9 @@ def shifted_expansion(
                 rho = base_m if (prev_norm in (None, 0) or norm == 0) \
                     else norm / prev_norm
                 r_star = max(base_m, rho) * (1 + mpf(8) / (n + 1))
-                done = r_star < 1 and abs(mult) * norm * r_star / (1 - r_star) < target
+                # a zero term (a root of P at order 0) bounds nothing
+                done = (r_star < 1 and (norm != 0 or spec.vanishes)
+                        and abs(mult) * norm * r_star / (1 - r_star) < target)
             if done:
                 tail = abs(mult) * norm * 2 * base_m / (1 - base_m) if N is not None \
                     else abs(mult) * norm * r_star / (1 - r_star)
@@ -326,16 +328,16 @@ class ExpansionReport:
             "series": self.series,
             "order": self.order,
             "precision_bits": self.precision_bits,
-            "tolerance": mp.nstr(self.tolerance, 8),
-            "error_bound": mp.nstr(self.error_bound, 8),
+            "tolerance": to_decimal(self.tolerance, 8),
+            "error_bound": to_decimal(self.error_bound, 8),
             "all_pass": self.all_pass,
             "checks": [
                 {
                     "order": c.order,
                     "claimed": c.claimed,
-                    "computed": mp.nstr(c.computed, 40),
-                    "target": mp.nstr(c.target, 40),
-                    "defect": mp.nstr(c.defect, 8),
+                    "computed": to_decimal(c.computed, 40),
+                    "target": to_decimal(c.target, 40),
+                    "defect": to_decimal(c.defect, 8),
                     "pass": c.passed,
                 }
                 for c in self.checks

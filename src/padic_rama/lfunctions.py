@@ -1,9 +1,10 @@
 """Bernoulli numbers (exact, and a mod-p table kept as a test oracle),
 quadratic Dirichlet characters, the rational values of zeta and quadratic
 L-functions at non-positive integers, and the single p-adic digit of
-zeta_p(k) / L_{D,p}(k) that the congruence machinery consumes.  That digit is
-a Kummer value, -B_{m,chi}/m mod p with m = p-k, and one power sum over
-a <= f p gives B_{m,chi} mod p for zeta_p (f = 1) and for L_p alike.
+L_{D,p}(k) that the congruence machinery consumes.  zeta_p is L_p of the
+trivial character chi_1 (D = 1), so one routine serves both: the digit is a
+Kummer value, -B_{m,chi}/m mod p with m = p-k, and one power sum over
+a <= f p gives B_{m,chi} mod p (f = 1 for zeta_p).
 
 Convention: B_1 = -1/2 everywhere, so that zeta(1-k) = -B_k/k and
 L(1-m, chi) = -B_{m,chi}/m hold with no sign fixups.
@@ -11,87 +12,43 @@ L(1-m, chi) = -B_{m,chi}/m hold with no sign fixups.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
 
+import mpmath
+
 from .errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from .exactnum import kronecker, prime_factors
 
-_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_bernoulli_lock = threading.Lock()
 
-
+@cache
 def bernoulli_exact(k: int) -> Fraction:
-    """B_k as an exact rational, via the defining convolution
-    sum_{j=0}^{k} C(k+1, j) B_j = 0.
-    """
+    """B_k as an exact rational (mpmath.bernfrac)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(_bernoulli_cache):
-        with _bernoulli_lock:
-            for n in range(len(_bernoulli_cache), k + 1):
-                if n % 2 == 1:
-                    _bernoulli_cache.append(Fraction(0))
-                    continue
-                acc = sum(
-                    comb(n + 1, j) * _bernoulli_cache[j] for j in range(n)
-                )
-                _bernoulli_cache.append(Fraction(-acc, n + 1))
-    return _bernoulli_cache[k]
+    return Fraction(*mpmath.bernfrac(k))
 
 
-@dataclass(frozen=True)
-class BernoulliTableModP:
-    """B_0 .. B_{p-3} reduced mod p (all of them p-integral for p >= 5)."""
-
-    p: int
-    values: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-
-def bernoulli_all_mod_p(p: int) -> BernoulliTableModP:
-    """All of B_0 .. B_{p-3} mod p at once, via mod-p inversion of the power
-    series (e^x - 1)/x.  O(p^2) word operations; factorials up to p-3 stay
-    invertible.  No library path calls it: it is the oracle the tests hold
-    the power-sum digits of zeta_p_mod_p / L_p_mod_p against.
+def bernoulli_all_mod_p(p: int) -> tuple[int, ...]:
+    """B_0 .. B_{p-3} mod p (all of them p-integral for p >= 5), from the
+    defining convolution sum_{j=0}^{n} C(n+1, j) B_j = 0 with the binomial
+    row kept mod p: O(p^2) word operations.  No library path calls it: it is
+    the oracle the tests hold the power-sum digits of L_p_mod_p against.
     """
     if p < 5:
         raise ValueError("p must be a prime >= 5")
-    top = p - 3
-    # factorials and inverse factorials mod p up to top+1
-    fact = [1] * (top + 2)
-    for i in range(1, top + 2):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * (top + 2)
-    inv_fact[top + 1] = pow(fact[top + 1], -1, p)
-    for i in range(top + 1, 0, -1):
-        inv_fact[i - 1] = inv_fact[i] * i % p
-    # A = (e^x - 1)/x has A_i = 1/(i+1)!; invert the series mod x^{top+1}
-    A = [inv_fact[i + 1] for i in range(top + 1)]
-    C = [0] * (top + 1)
-    C[0] = 1
-    for n in range(1, top + 1):
-        s = 0
-        for j in range(1, n + 1):
-            s += A[j] * C[n - j]
-        C[n] = -s % p
-    values = tuple(C[n] * fact[n] % p for n in range(top + 1))
-    return BernoulliTableModP(p=p, values=values)
+    B, row = [1], [1, 1]  # row n holds C(n+1, j) mod p
+    for n in range(1, p - 2):
+        row = [1, *((a + b) % p for a, b in zip(row, row[1:])), 1]
+        B.append(-sum(c * b for c, b in zip(row, B)) * pow(n + 1, -1, p) % p)
+    return tuple(B)
 
 
 def zeta_nonpositive(s: int) -> Fraction:
-    """zeta(s) for s <= 0:  zeta(0) = -1/2,  zeta(1-k) = -B_k/k."""
-    if s > 0:
-        raise ValueError("s must be <= 0")
-    if s == 0:
-        return Fraction(-1, 2)
-    k = 1 - s
-    return -bernoulli_exact(k) / k
+    """zeta(s) = L(s, chi_1) for s <= 0:  zeta(1-k) = -B_k/k, zeta(0) = -1/2."""
+    return L_nonpositive(QuadCharacter(1), s)
 
 
 def _squarefree(n: int) -> bool:
@@ -156,8 +113,6 @@ def L_nonpositive(chi: QuadCharacter, s: int) -> Fraction:
     """L(s, chi) for s <= 0:  L(1-m, chi) = -B_{m,chi}/m."""
     if s > 0:
         raise ValueError("s must be <= 0")
-    if chi.D == 1:
-        return zeta_nonpositive(s)
     m = 1 - s
     return -generalized_bernoulli(chi, m) / m
 
@@ -181,37 +136,41 @@ def _bernoulli_chi_mod_p(D: int, m: int, p: int) -> int:
     return total % pp // p * pow(f, -1, p) % p
 
 
+def parity_zero(D: int, k: int) -> bool:
+    """True when chi_D(-1) = (-1)^k, i.e. (D > 0) == (k even): then L_{D,p}(k)
+    vanishes identically (for D = 1, zeta_p at even k)."""
+    return (D > 0) == (k % 2 == 0)
+
+
+def check_L_p(chi: QuadCharacter, k: int) -> None:
+    """Raise unless L_p(k, chi) has a digit at some prime: ValueError for
+    k < 1, PrecisionUnavailable for k = 1 with an even character, whose Kummer
+    value needs B_{p-1}, which is not p-integral (for chi_1: the pole of
+    zeta_p at 1)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k == 1 and chi.is_even:
+        raise PrecisionUnavailable("L_p(1) of an even character needs B_{p-1}")
+
+
 def zeta_p_mod_p(k: int, p: int) -> int:
-    """The single known digit of zeta_p(k): 0 for even k (parity vanishing),
-    else zeta(1+k-p) = -B_m/m mod p with m = p-k, B_m from a power sum.
-    """
+    """The single known digit of zeta_p(k) = L_p(k, chi_1), for k >= 2."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if p < k + 2:
-        raise PrecisionUnavailable(f"zeta_p({k}) mod {p} needs p >= {k + 2}")
-    if k % 2 == 0:
-        return 0
-    m = p - k  # m is even and 2 <= m <= p-3
-    return -_bernoulli_chi_mod_p(1, m, p) * pow(m, -1, p) % p
+    return L_p_mod_p(QuadCharacter(1), k, p)
 
 
 def L_p_mod_p(chi: QuadCharacter, k: int, p: int) -> int:
-    """The single known digit of L_{D,p}(k): 0 when chi(-1) = (-1)^k (the
-    parity/trivial zeros), else L(1+k-p, chi) = -B_{m,chi}/m mod p with
-    m = p-k, B_{m,chi} from a power sum over a <= f p.
+    """The single known digit of L_{D,p}(k): 0 when ``parity_zero(D, k)``,
+    else L(1+k-p, chi) = -B_{m,chi}/m mod p with m = p-k, B_{m,chi} from a
+    power sum over a <= f p.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if p >= 5 and chi.conductor % p == 0:
         raise BadPrime(f"p={p} divides the conductor {chi.conductor}")
-    if chi.D == 1:
-        return zeta_p_mod_p(k, p)
-    if chi.is_even == (k % 2 == 0):
+    check_L_p(chi, k)
+    if parity_zero(chi.D, k):
         return 0
     if p < k + 2:
         raise PrecisionUnavailable(f"L_p({k}) mod {p} needs p >= {k + 2}")
-    m = p - k
-    if m > p - 2:
-        # k = 1 with even chi would need B_{p-1}, which is not p-integral
-        raise PrecisionUnavailable(f"L_p(1) of an even character needs B_{p - 1}")
+    m = p - k  # 2 <= m <= p-2
     return -_bernoulli_chi_mod_p(chi.D, m, p) * pow(m, -1, p) % p

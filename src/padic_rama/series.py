@@ -84,6 +84,11 @@ class SeriesSpec:
                     "denom_linear", "alpha*n + beta vanishes at an integer n >= 0"
                 )
 
+    @property
+    def vanishes(self) -> bool:
+        """True when every term is zero (a zero multiplier or P = 0)."""
+        return self.multiplier == 0 or not any(self.poly)
+
     def is_bad_prime(self, p: int) -> bool:
         """True when the prime p divides the denominator of a series datum."""
         qs = [self.base, self.multiplier, *self.upper, *self.lower, *self.poly,
@@ -256,7 +261,9 @@ def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
     Summation stops before term n once the geometric tail bound
     |term n| / (1 - r) is below 2^-precision_bits, tested exactly; r is
     max(base, |term n / term n-1|) inflated by (1 + 8/n) to cover residual
-    polynomial growth.  The bound adds (terms + 1) * eps * (|value| + 1).
+    polynomial growth.  A zero term (a root of P) bounds nothing and never
+    stops the sum, unless every term vanishes.  The bound adds
+    (terms + 1) * eps * (|value| + 1).
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
@@ -268,7 +275,7 @@ def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
         rho = (Fraction(abs(a(n) * num(n - 1) * b(n - 1)),
                         abs(a_prev * den(n - 1) * b(n))) if a_prev else spec.base)
         r = max(spec.base, rho) * Fraction(n + 8, n)
-        if r < 1:
+        if r < 1 and (T or spec.vanishes):
             # the tail bound is top/bot; stop when it is below 2^-precision_bits
             top = abs(T) * r.denominator
             bot = abs(D_next) * (r.denominator - r.numerator)

@@ -222,6 +222,10 @@ MALFORMED = [
     (None, "--primes", "5..1000001"),
     (None, "--primes", "30..5"),
     ("eq8-unknowns", ("terms",), [{"exponent": 0, "constant": "one", "coefficient": "7"}]),
+    ("eq5", ("terms", 1, "constant"), {"l_p": [5, 1]}),
+    ("eq5", ("terms", 1, "constant"), {"l_p": [-5, 2]}),
+    ("eq5", ("terms", 0, "constant"), {"kron": 0}),
+    (None, "--candidates", "kron:0"),
 ]
 
 
@@ -345,6 +349,13 @@ def test_option_bounds(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_sum_check_prints_high_precision_fields(capsys):
+    # mpmath's decimal string of a tiny number with a 14400-bit mantissa runs
+    # into Python's 4300-digit limit on int -> str conversion
+    assert main(["sum-check", "--spec", "eq2", "--prec", "14400"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(" -> PASS\n")
+
+
 def test_template_mod_power_bounded_like_option(tmp_path, capsys):
     # exact constants only, so nothing else limits the modulus power
     bad = tmp_path / "bad.json"
@@ -355,6 +366,36 @@ def test_template_mod_power_bounded_like_option(tmp_path, capsys):
     argv = ["congruence", "--spec", "eq6", "--template", str(bad), "--primes", "5..13"]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == "error: bad.json:mod_power must be within 1..32\n"
+
+
+@pytest.mark.parametrize("constant, message", [
+    ({"l_p": [5, 1]}, "L_p(1) of an even character needs B_{p-1}"),
+    ({"l_p": [-5, 2]}, "discriminant: -5 is not fundamental"),
+    ({"kron": 0}, "disc must be nonzero: (0|p) = 0 at every prime"),
+])
+def test_unevaluable_constant_rejected_at_parse(tmp_path, capsys, constant, message):
+    # no prime can evaluate these, so no row could ever be computed
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "mod_power": 3,
+        "terms": [{"exponent": 2, "constant": constant, "coefficient": "1"}],
+    }))
+    argv = ["congruence", "--spec", "eq2", "--template", str(bad), "--primes", "5..40"]
+    assert main(argv) == EXIT_USAGE
+    kind, = constant
+    assert capsys.readouterr().err == f"error: bad.json:terms[0]:{kind}: {message}\n"
+
+
+@pytest.mark.parametrize("primes, exclude", [
+    ("4..4", ""),
+    ("5..30", "5,7,11,13,17,19,23,29"),
+])
+def test_congruence_needs_a_prime(capsys, primes, exclude):
+    argv = ["congruence", "--spec", "eq2", "--template", "eq5", "--primes", primes,
+            "--exclude", exclude]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: primes: verification needs at least one, got 0\n")
 
 
 def test_fit_needs_two_primes(capsys):

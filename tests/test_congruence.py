@@ -194,6 +194,15 @@ class TestVerifyCongruence:
         assert report.rows[0].skipped
         assert "denominator" in report.rows[0].note
 
+    def test_no_computed_row_is_no_pass(self, series, templates):
+        report = verify_congruence(series["eq9"], templates["eq12"], [5])
+        assert report.counts == {"pass": 0, "fail": 0, "skip": 1}
+        assert not report.all_pass
+
+    def test_empty_prime_list_rejected(self, series, templates):
+        with pytest.raises(InvariantViolation, match="primes"):
+            verify_congruence(series["eq2"], templates["eq5"], [])
+
     def test_rows_sorted_by_prime(self, series, templates):
         report = verify_congruence(series["eq2"], templates["eq5"], [13, 5, 7])
         assert [r.p for r in report.rows] == [5, 7, 13]

@@ -64,8 +64,8 @@ class TestBernoulliExact:
             assert bernoulli_exact(k) == 0
 
     def test_against_akiyama_tanigawa(self):
-        oracle = akiyama_tanigawa(30)
-        for k in range(31):
+        oracle = akiyama_tanigawa(200)
+        for k in range(201):
             assert bernoulli_exact(k) == oracle[k]
 
     def test_von_staudt_clausen_denominators(self):
@@ -80,7 +80,7 @@ class TestBernoulliExact:
 
 class TestBernoulliModP:
     def test_p5_table(self):
-        assert bernoulli_all_mod_p(5).values == (1, 2, 1)
+        assert bernoulli_all_mod_p(5) == (1, 2, 1)
 
     def test_matches_exact_reductions(self):
         for p in primes_in_range(5, 101):
@@ -228,6 +228,20 @@ class TestLPModP:
 
     def test_trivial_character_delegates(self):
         assert L_p_mod_p(QuadCharacter(1), 3, 7) == zeta_p_mod_p(3, 7)
+
+    def test_zeta_p_is_L_p_of_trivial_character(self):
+        # every k and p, even k below the reach p >= k+2 included
+        chi1 = QuadCharacter(1)
+        for k in range(2, 12):
+            for p in primes_in_range(5, 60):
+                try:
+                    want = L_p_mod_p(chi1, k, p)
+                except PrecisionUnavailable:
+                    with pytest.raises(PrecisionUnavailable):
+                        zeta_p_mod_p(k, p)
+                    continue
+                assert zeta_p_mod_p(k, p) == want, (k, p)
+        assert zeta_p_mod_p(4, 5) == 0 and zeta_p_mod_p(10, 7) == 0
 
     def test_errors(self):
         with pytest.raises(BadPrime):

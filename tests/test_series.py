@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from padic_rama.errors import BadPrime, InvariantViolation, NegativeValuationSum
 from padic_rama.exactnum import primes_in_range, reduce_rational
+from padic_rama.expansion import shifted_expansion
 from padic_rama.series import (
     ClosedForm,
     SeriesSpec,
@@ -313,3 +314,25 @@ class TestSpecInvariants:
         eq15 = series["eq15"]
         assert eq15.scaled(F(529, 3)).multiplier == 1
         assert eq15.scaled(F(1)) is eq15
+
+
+class TestZeroTerm:
+    """A root of P makes one term exactly zero; the tail rule must not stop
+    there (the sum below has term 5 = 0 and its tail starts at 2e-5)."""
+
+    SPEC = make_spec(upper=(F(1, 2), F(1, 2)), lower=(F(1), F(1)),
+                     base=F(1, 4), poly=(F(-5), F(1)))
+
+    @staticmethod
+    def check(value, bound):
+        exact = truncated_sum_exact(TestZeroTerm.SPEC, 120)  # the rest is < 2^-230
+        with mp.workprec(300):
+            assert abs(value - mpf(exact.numerator) / exact.denominator) <= bound
+            assert bound < mpf(2) ** -120
+
+    def test_numeric_sum_passes_a_zero_term(self):
+        self.check(*numeric_sum(self.SPEC, 128))
+
+    def test_shifted_expansion_order_0_passes_a_zero_term(self):
+        ts = shifted_expansion(self.SPEC, 0, 128)
+        self.check(ts.coeffs[0], ts.error_bound)
