@@ -15,6 +15,7 @@ from .congruence import (
     TemplateTerm,
     ZetaP,
     fit_unknowns,
+    inadmissible,
     scan_next_term,
     template_rhs_mod,
     verify_congruence,

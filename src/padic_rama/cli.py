@@ -2,8 +2,8 @@
 drivers for sum checking, expansion, congruence verification, coefficient
 fitting and next-term scanning, with deterministic machine-readable reports.
 
-Exit codes: 0 all checks pass, 1 a mathematical claim failed (or no row
-checked it), 2 usage or configuration error, 3 precision unavailable.
+Exit codes: 0 all checks pass, 1 a mathematical claim failed, 2 usage or
+configuration error (an unreadable path included), 3 precision unavailable.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .congruence import (
     TemplateTerm,
     ZetaP,
     fit_unknowns,
+    inadmissible,
     scan_next_term,
     verify_congruence,
 )
@@ -110,6 +111,10 @@ def _load_json(path: Path) -> dict:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror}") from None
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return data
@@ -328,23 +333,13 @@ def parse_prime_range(text: str) -> tuple[int, int]:
     return lo, _bounded(hi, "--primes upper end", lo, PRIME_MAX)
 
 
-def admissible_primes(
-    spec: SeriesSpec,
-    tpl: Optional[ExpansionTemplate],
-    lo: int,
-    hi: int,
-    exclude: Sequence[int] = (),
-) -> list[int]:
-    """Primes in [lo, hi] minus the structural exclusions: divisors of the
-    series' denominators, of template discriminants/coefficient/scale parts,
-    and primes below a one-digit constant's reach (p >= k+2)."""
+def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate, lo: int, hi: int,
+                      exclude: Sequence[int] = ()) -> list[int]:
+    """The primes in [lo, hi], less ``exclude`` and the primes that
+    ``congruence.inadmissible`` rejects."""
     banned = set(exclude)
-    min_p = 2
-    if tpl is not None:
-        banned |= tpl.admissibility_exclusions()
-        min_p = tpl.min_prime()
-    return [p for p in primes_in_range(max(lo, min_p), hi)
-            if p not in banned and not spec.is_bad_prime(p)]
+    return [p for p in primes_in_range(lo, hi)
+            if p not in banned and not inadmissible(spec, tpl, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +553,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.format == "csv" and args.command == "congruence":
             text = _csv(payload["rows"])
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            try:
+                Path(args.output).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise SchemaError(f"--output {args.output}: {exc.strerror}") from None
         else:
             sys.stdout.write(text)
         return code

@@ -3,6 +3,13 @@ verification of congruence claims over prime ranges, recovery of unknown
 rational coefficients from multi-prime residues, and scanning for the next
 term beyond a verified modulus.
 
+A claim speaks about every prime outside a finite exceptional set, and
+``inadmissible`` is the one statement of that set: primes dividing a
+denominator of the series, the scale, or a known coefficient, or a
+discriminant, and primes below a one-digit constant's reach (p >= k+2).
+Verification turns such a prime into a skipped row carrying the reason;
+fit and scan drop it.
+
 Fit and scan share one reader: ``_residuals`` (sum minus the known terms)
 and ``_read_coefficient`` (one slot's digits -> CRT -> rational).
 """
@@ -11,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, ClassVar, Mapping, Optional, Sequence, Union
+from typing import ClassVar, Mapping, Optional, Sequence, Union
 
 from .constants import One
 from .errors import (
@@ -22,14 +29,7 @@ from .errors import (
     ReconstructionFailed,
     UnknownCoefficient,
 )
-from .exactnum import (
-    ResidueClass,
-    crt_combine,
-    kronecker,
-    prime_factors,
-    rational_reconstruct,
-    valuation,
-)
+from .exactnum import ResidueClass, crt_combine, kronecker, rational_reconstruct, valuation
 from .lfunctions import L_p_mod_p, QuadCharacter, check_L_p, parity_zero, zeta_p_mod_p
 from .series import SeriesSpec, truncated_sums_mod
 from .series import truncated_sum_mod  # noqa: F401  (perfbench/traced.py wraps this name)
@@ -161,23 +161,36 @@ class ExpansionTemplate:
             raise ValueError("more coefficients than unknown slots")
         return replace(self, terms=tuple(new_terms))
 
-    def admissibility_exclusions(self) -> set[int]:
-        """Small primes that can never be used with this template."""
-        out: set[int] = set()
-        for t in self.terms:
-            if not isinstance(t.constant, One):
-                out.update(prime_factors(t.constant.disc))
-            if t.coefficient is not None:
-                out.update(prime_factors(t.coefficient.denominator))
-        out.update(prime_factors(self.scale.denominator))
-        out.update(prime_factors(self.scale.numerator))
-        return out
 
-    def min_prime(self) -> int:
-        """Smallest p compatible with the one-digit constants (p >= k+2)."""
-        return max([2] + [t.constant.k + 2 for t in self.terms
-                          if isinstance(t.constant, ONE_DIGIT)
-                          and not is_structural_zero(t.constant)])
+def _constant_inadmissible(constant: TemplateConstant, p: int) -> str:
+    """Why the constant has no value at p, or "": p divides its discriminant,
+    or p < k+2 for a one-digit constant that is not a structural zero."""
+    if isinstance(constant, One):
+        return ""
+    if constant.disc % p == 0:
+        if isinstance(constant, Kron):
+            return f"p={p} divides the discriminant {constant.disc}"
+        return f"p={p} divides the conductor {abs(constant.disc)}"
+    if isinstance(constant, ONE_DIGIT) and p < constant.k + 2 and not is_structural_zero(constant):
+        return f"L_p({constant.k}) mod {p} needs p >= {constant.k + 2}"
+    return ""
+
+
+def inadmissible(spec: SeriesSpec, tpl: ExpansionTemplate, p: int) -> str:
+    """Why the claim  scale * (truncated sum) == template (mod p^M)  cannot be
+    read at the prime p, or "" when p is admissible.  In order: p divides a
+    structural denominator of the series, the scale's numerator or
+    denominator, or a known coefficient's denominator; or a template constant
+    has no value at p (``_constant_inadmissible``).  The one statement of the
+    rule: verification skips such a prime with this reason, fitting and
+    scanning drop it, and the command line never passes it."""
+    if spec.is_bad_prime(p):
+        return f"p={p} divides a structural denominator of {spec.name}"
+    if tpl.scale.numerator % p == 0 or tpl.scale.denominator % p == 0:
+        return f"p={p} divides the template scale {tpl.scale}"
+    if any(t.known and t.coefficient.denominator % p == 0 for t in tpl.terms):
+        return f"p={p} divides a template coefficient denominator"
+    return next(filter(None, (_constant_inadmissible(t.constant, p) for t in tpl.terms)), "")
 
 
 def _term_mod(term: TemplateTerm, p: int, k: int) -> int:
@@ -256,7 +269,7 @@ class CongruenceReport:
         }
 
 
-LhsProvider = Union[Callable[[int], int], Mapping[int, int]]
+LhsProvider = Mapping[int, int]
 
 
 def _lhs_residues(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int],
@@ -264,7 +277,7 @@ def _lhs_residues(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int
     """scale * truncated sum modulo p^mod_power, or ``lhs`` when given."""
     if lhs is None:
         return truncated_sums_mod(spec.scaled(tpl.scale), primes, mod_power)
-    return {p: (lhs(p) if callable(lhs) else lhs[p]) % p**mod_power for p in primes}
+    return {p: lhs[p] % p**mod_power for p in primes}
 
 
 def verify_congruence(
@@ -273,8 +286,8 @@ def verify_congruence(
     primes: Sequence[int],
 ) -> CongruenceReport:
     """Compare scale * truncated sum against the template modulo p^M for
-    every prime given.  Per-prime errors (bad prime, unavailable precision)
-    become skipped rows, never exceptions; an empty prime list raises
+    every prime given.  A prime that ``inadmissible`` rejects becomes a
+    skipped row carrying the reason; an empty prime list raises
     InvariantViolation.
     """
     if not primes:
@@ -286,19 +299,15 @@ def _verify(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int],
             lhs: Optional[LhsProvider]) -> CongruenceReport:
     """verify_congruence, with ``lhs`` (when given) in place of the sums."""
     M = tpl.modulus_power
-    scaled = spec.scaled(tpl.scale)
-    sums = _lhs_residues(spec, tpl, [p for p in primes if not scaled.is_bad_prime(p)], lhs, M)
+    reasons = {p: inadmissible(spec, tpl, p) for p in primes}
+    sums = _lhs_residues(spec, tpl, [p for p in primes if not reasons[p]], lhs, M)
     rows = []
     for p in sorted(primes):
-        try:
-            scaled.check_prime(p)
-            left, right = sums[p], template_rhs_mod(tpl, p)
-        except (BadPrime, PrecisionUnavailable) as exc:
-            rows.append(
-                CongruenceRow(p=p, lhs=None, rhs=None, passed=False,
-                              defect_valuation=None, note=str(exc))
-            )
+        if reasons[p]:
+            rows.append(CongruenceRow(p=p, lhs=None, rhs=None, passed=False,
+                                      defect_valuation=None, note=reasons[p]))
             continue
+        left, right = sums[p], template_rhs_mod(tpl, p)
         rows.append(CongruenceRow(
             p=p, lhs=left, rhs=right, passed=left == right,
             defect_valuation=None if left == right else valuation(left - right, p),
@@ -323,8 +332,8 @@ def _read_coefficient(
 
     Returns (r, or None when no bounded rational fits; primes used).  A
     residual that p^e does not divide raises InconsistentResidues.  A prime
-    where the constant is unavailable or not a unit is skipped; when none is
-    left, PrecisionUnavailable.
+    where the constant has no value (``_constant_inadmissible``) or is not a
+    unit is skipped; when none is left, PrecisionUnavailable.
     """
     classes = []
     for p, r in residuals.items():
@@ -332,10 +341,9 @@ def _read_coefficient(
             raise InconsistentResidues(
                 f"residual at p={p} has valuation {valuation(r, p)} below the slot p^{e}"
             )
-        try:
-            c = constant_mod_p(constant, p)
-        except (BadPrime, PrecisionUnavailable):
+        if _constant_inadmissible(constant, p):
             continue
+        c = constant_mod_p(constant, p)
         if c % p == 0:
             continue  # this prime carries no information for the coefficient
         pw = p**w
@@ -375,11 +383,10 @@ def fit_unknowns(
     ``_read_coefficient``; the exact value is substituted before the next
     stage.  The completed template is then re-verified on the held-out top
     HELD_OUT_FRACTION of the prime range.  ``lhs`` optionally overrides the
-    truncated-sum left side (used for synthetic data).  The template's
-    ``admissibility_exclusions`` are dropped from the primes first, as the
-    peeling step cannot evaluate a term at a kron/l_p discriminant prime.  A
-    template with no unknown, or fewer than two primes, given or left after
-    a refit, raise InvariantViolation.
+    truncated-sum left side (used for synthetic data).  The primes that
+    ``inadmissible`` rejects are dropped first, before the held-out split.
+    A template with no unknown, or fewer than two primes left after that or
+    after a refit, raise InvariantViolation.
     """
     for t in tpl.terms:
         if is_structural_zero(t.constant) and not t.known:
@@ -396,7 +403,7 @@ def fit_unknowns(
     M = work.modulus_power
     exps = [t.exponent for t in work.terms]
     windows = [b - a for a, b in zip(exps, exps[1:])] + [M - exps[-1]]
-    primes = sorted(set(primes) - work.admissibility_exclusions())
+    primes = sorted(p for p in set(primes) if not inadmissible(spec, tpl, p))
     while True:
         if len(primes) < 2:
             raise InvariantViolation(
@@ -491,7 +498,8 @@ def scan_next_term(
     unknown -- and the scan reports that outcome instead of guessing.
     ``max_power`` (default M + 4) must exceed M, else InvariantViolation;
     a template that fails modulo p^M at some prime raises
-    InconsistentResidues.
+    InconsistentResidues.  The primes that ``inadmissible`` rejects are
+    dropped first.
     """
     if not tpl.fully_known:
         raise UnknownCoefficient("template has unresolved coefficients")
@@ -519,7 +527,7 @@ def scan_next_term(
             ),
         )
 
-    primes = sorted(set(primes))
+    primes = sorted(p for p in set(primes) if not inadmissible(spec, tpl, p))
     # all surviving constants are exact (One/Kron), so the template extends
     # to any modulus
     defects = _residuals(spec, tpl, primes, limit)

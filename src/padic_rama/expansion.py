@@ -54,13 +54,6 @@ class TruncatedSeries:
             self.error_bound + other.error_bound,
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._align(other)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.error_bound + other.error_bound,
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._align(other)
         K = self.order
@@ -144,18 +137,13 @@ def _poly_shift(poly: Sequence[Fraction], n: int, K: int) -> list[Fraction]:
     return out
 
 
-def shifted_expansion(
-    spec: SeriesSpec,
-    K: int,
-    precision_bits: int,
-    N: Optional[int] = None,
-) -> TruncatedSeries:
+def shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> TruncatedSeries:
     """x-expansion through order K of the series with every index shifted by
     x (rising factorials continued through the gamma function, the geometric
     factor through base^(n+x), the sign kept outside).
 
-    The term count N is chosen by the numeric-sum tail rule applied to the
-    coefficient-wise norms unless given explicitly.
+    The term count is chosen by the numeric-sum tail rule applied to the
+    coefficient-wise norms.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -202,22 +190,15 @@ def shifted_expansion(
             total = total + term.scale(sgn * mult)
 
             norm = max(abs(c) for c in term.coeffs)
-            if N is not None:
-                done = n >= N
-                r_star = None
-            else:
-                rho = base_m if (prev_norm in (None, 0) or norm == 0) \
-                    else norm / prev_norm
-                r_star = max(base_m, rho) * (1 + mpf(8) / (n + 1))
-                # a zero term (a root of P at order 0) bounds nothing
-                done = (r_star < 1 and (norm != 0 or spec.vanishes)
-                        and abs(mult) * norm * r_star / (1 - r_star) < target)
-            if done:
-                tail = abs(mult) * norm * 2 * base_m / (1 - base_m) if N is not None \
-                    else abs(mult) * norm * r_star / (1 - r_star)
-                rounding = (n + 1) * (K + 1) * mp.eps * (total.norm1() + 1)
-                bound = tail + rounding + total.error_bound
-                return TruncatedSeries(tuple(+c for c in total.coeffs), +bound)
+            rho = base_m if (prev_norm in (None, 0) or norm == 0) else norm / prev_norm
+            r_star = max(base_m, rho) * (1 + mpf(8) / (n + 1))
+            # a zero term (a root of P at order 0) bounds nothing
+            if r_star < 1 and (norm != 0 or spec.vanishes):
+                tail = abs(mult) * norm * r_star / (1 - r_star)
+                if tail < target:
+                    rounding = (n + 1) * (K + 1) * mp.eps * (total.norm1() + 1)
+                    bound = tail + rounding + total.error_bound
+                    return TruncatedSeries(tuple(+c for c in total.coeffs), +bound)
 
             # advance G by one index shift
             for a in spec.upper:

@@ -33,7 +33,7 @@ def _gram_schmidt(b: list[list[int]]) -> tuple[list[list[Fraction]], list[list[F
     return bstar, mu, norms
 
 
-def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = DELTA) -> list[list[int]]:
+def lll_reduce(basis: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL-reduced basis of the integer lattice spanned by the rows."""
     b = [list(map(int, row)) for row in basis]
     n = len(b)
@@ -47,7 +47,7 @@ def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = DELTA) -> list[
             if q != 0:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 _, mu, norms = _gram_schmidt(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

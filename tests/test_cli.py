@@ -255,6 +255,23 @@ def test_malformed_input_exits_usage(tmp_path, capsys, fixture, key, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("case", ["spec is a directory", "spec is UTF-16",
+                                  "output is a directory"])
+def test_unreadable_path_exits_usage(tmp_path, capsys, case):
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    path, argv = {
+        "spec is a directory": (tmp_path, ["sum-check", "--spec", str(tmp_path)]),
+        "spec is UTF-16": (utf16, ["sum-check", "--spec", str(utf16)]),
+        "output is a directory": (tmp_path, ["congruence", "--spec", "eq2", "--template",
+                                             "eq5", "--primes", "5..40",
+                                             "--output", str(tmp_path)]),
+    }[case]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("power", ["0", "33"])
 def test_max_power_bounded(capsys, power):
     argv = ["scan", "--spec", "eq6", "--template", "eq8", "--primes", "5..30",

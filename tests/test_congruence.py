@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from padic_rama.congruence import (
     ZetaP,
     constant_mod_p,
     fit_unknowns,
+    inadmissible,
     is_structural_zero,
     scan_next_term,
     template_rhs_mod,
@@ -28,7 +30,9 @@ from padic_rama.errors import (
 from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.lfunctions import L_nonpositive, QuadCharacter
 from padic_rama.series import ClosedForm, SeriesSpec
-from padic_rama.cli import admissible_primes
+from padic_rama.cli import admissible_primes, parse_template
+
+SEED_7 = Path(__file__).parent / "fixtures" / "seed-7.json"
 
 F = Fraction
 
@@ -372,3 +376,64 @@ class TestConstantModP:
         assert constant_mod_p(ONE, 7) == 1
         assert constant_mod_p(Kron(5), 7) == -1
         assert constant_mod_p(Kron(5), 11) == 1
+
+
+class TestAdmissibility:
+    """``inadmissible`` is the one rule: verify skips the primes it rejects
+    with its reason, fit and scan drop them, and the command line's
+    ``admissible_primes`` is the range less them."""
+
+    def test_scale_prime_is_skipped_with_its_reason(self, series):
+        # 7 * S == 0 (mod 7) holds at p = 7 whatever S is: no claim is checked
+        t = tpl([(0, ONE, 0)], 1, scale=F(7))
+        report = verify_congruence(series["eq2"], t, [7, 11])
+        seven, eleven = report.rows
+        assert seven.skipped and seven.note == "p=7 divides the template scale 7"
+        assert not eleven.skipped and eleven.passed
+
+    def test_fit_drops_a_series_denominator_prime(self, series, templates):
+        primes = primes_in_range(7, 199)
+        want = fit_unknowns(series["eq9"], templates["eq11-unknowns"], primes)
+        got = fit_unknowns(series["eq9"], templates["eq11-unknowns"], [3] + primes)
+        assert got == want
+        assert inadmissible(series["eq9"], templates["eq11-unknowns"], 3) == (
+            "p=3 divides a structural denominator of eq9")
+
+    def test_fit_drops_a_prime_below_the_reach(self):
+        planted = tpl([(0, ONE, F(3, 5)), (1, ZetaP(3), -2)], 2)
+        primes = primes_in_range(7, 60)
+        truth = {p: template_rhs_mod(planted, p) for p in primes}
+        unknown = tpl([(0, ONE, None), (1, ZetaP(3), None)], 2)
+        want = fit_unknowns(ZERO_SPEC, unknown, primes, lhs=truth)
+        got = fit_unknowns(ZERO_SPEC, unknown, [3] + primes, lhs={3: 0, **truth})
+        assert got == want
+        assert want.coefficients == (F(3, 5), F(-2))
+
+    def test_scan_drops_a_series_denominator_prime(self, series):
+        seed = parse_template(SEED_7)
+        primes = primes_in_range(5, 60)
+        cands = [ZetaP(3), ONE]
+        want = scan_next_term(series["eq6"], seed, primes, cands, max_power=5)
+        got = scan_next_term(series["eq6"], seed, [3] + primes, cands, max_power=5)
+        assert got == want
+        assert want.candidates[0].coefficient == F(-105, 2)
+
+    def test_scan_drops_a_discriminant_prime(self, series):
+        # eq6's sum is 7 - 105/2 zeta_p(3) p^3 modulo p^4, so its p^1 digit is 0
+        t = tpl([(0, ONE, 7), (1, Kron(5), 0)], 3)
+        primes = primes_in_range(7, 60)
+        want = scan_next_term(series["eq6"], t, primes, [ZetaP(3)], max_power=5)
+        got = scan_next_term(series["eq6"], t, [5] + primes, [ZetaP(3)], max_power=5)
+        assert got == want
+        assert want.defect_exponent == 3
+        assert inadmissible(series["eq6"], t, 5) == "p=5 divides the discriminant 5"
+
+    @pytest.mark.parametrize("tname", ["eq5", "eq8", "eq11", "eq12", "eq14", "eq16"])
+    @pytest.mark.parametrize("sname", ["eq2", "eq6", "eq9", "gourevitch", "eq15"])
+    def test_verify_computes_exactly_the_admissible_primes(self, series, templates,
+                                                           sname, tname):
+        spec, t = series[sname], templates[tname]
+        report = verify_congruence(spec, t, primes_in_range(2, 400))
+        assert [r.p for r in report.rows if not r.skipped] == \
+            admissible_primes(spec, t, 2, 400)
+        assert all(r.note for r in report.rows if r.skipped)

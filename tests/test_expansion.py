@@ -191,16 +191,6 @@ class TestShiftedExpansion:
             fd = (extended(h) - extended(-h)) / (2 * h)
             assert abs(ts.coeffs[1] - fd) < mpf(2) ** -100
 
-    def test_explicit_term_count(self, series):
-        # more terms can only help: values agree within the looser bound
-        a = shifted_expansion(series["gourevitch"], 3, 128)
-        b = shifted_expansion(series["gourevitch"], 3, 128, N=60)
-        with mp.workprec(160):
-            assert all(
-                abs(x - y) <= a.error_bound + b.error_bound
-                for x, y in zip(a.coeffs, b.coeffs)
-            )
-
 
 class TestRecognize:
     def test_fifty_zeta2(self):

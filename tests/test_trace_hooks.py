@@ -1,14 +1,19 @@
-"""The benchmark's span recorder (``perfbench/traced.py``) wraps library
-functions by (module, attribute) name; a refactor that drops or renames one
-of them must fail here, not only under ``perfbench/run.py --trace 1``."""
+"""The benchmark reaches into the library by name: its span recorder
+(``perfbench/traced.py``) wraps functions by (module, attribute), and
+``perfbench/run.py`` and ``perfbench/recognize_targets.py`` import names from
+``padic_rama``.  A refactor that drops or renames one of them must fail here,
+not only under ``perfbench/run.py``."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACED = PERFBENCH / "traced.py"
+IMPORTERS = [PERFBENCH / "run.py", PERFBENCH / "recognize_targets.py"]
 
 
 def _wrappers():
@@ -18,8 +23,30 @@ def _wrappers():
     return module.WRAPPERS
 
 
+def _imported_names():
+    """(module, name) for every ``from padic_rama... import name`` in the
+    benchmark scripts, read without running them."""
+    return sorted({
+        (node.module, alias.name)
+        for path in IMPORTERS
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module
+        and node.module.split(".")[0] == "padic_rama"
+        for alias in node.names
+    })
+
+
 @pytest.mark.parametrize("module, attribute",
                          sorted({(w[0], w[1]) for w in _wrappers()}))
 def test_wrapped_name_resolves(module, attribute):
     mod = importlib.import_module(f"padic_rama.{module}")
     assert callable(getattr(mod, attribute, None)), f"padic_rama.{module}.{attribute}"
+
+
+def test_import_reader_finds_the_benchmark_imports():
+    assert ("padic_rama.cli", "parse_series") in _imported_names()
+
+
+@pytest.mark.parametrize("module, name", _imported_names())
+def test_imported_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
