@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from padic_rama.constants import Lquad, PiPower, SqrtDisc, Zeta, constant_value
@@ -15,6 +17,8 @@ from padic_rama.expansion import (
 )
 from padic_rama.lattice import lll_reduce
 from padic_rama.series import numeric_sum
+
+from lll_reference import gram_schmidt, is_lll_reduced, reference_lll
 
 F = Fraction
 
@@ -31,16 +35,10 @@ class TestLLL:
         assert norms[0] == 1  # (0, 1, 0) is in the lattice
 
     def test_planted_relation(self):
-        # rows (e_i | N x_i) with 3*x0 - 7*x1 tiny: LLL surfaces (3, -7)
-        N = 10**12
+        # rows (e_i | x_i) with 3*x0 - 7*x1 = -7: LLL surfaces (3, -7)
         x0, x1 = 7_000_000_000, 3_000_000_001
-        rows = [[1, 0, 3 * x0], [0, 1, 7 * x1]]
-        # scale so that 3*(3x0) - ... build directly: x = (7e9, 3e9+1)
-        rows = [[1, 0, x0], [0, 1, x1]]
-        red = lll_reduce(rows)
-        assert any(abs(r[0]) == 3 and abs(r[1]) == 7 for r in red) or any(
-            sum(abs(t) for t in r[:2]) <= 10 for r in red
-        )
+        red = lll_reduce([[1, 0, x0], [0, 1, x1]])
+        assert [abs(t) for t in red[0]] == [3, 7, 7]
 
     def test_preserves_lattice(self):
         rng = random.Random(5)
@@ -51,6 +49,43 @@ class TestLLL:
             det = _det3(basis)
         red = lll_reduce(basis)
         assert abs(_det3(red)) == abs(det)
+
+    def test_dependent_rows_rejected(self):
+        with pytest.raises(ValueError, match="linearly dependent: row 1"):
+            lll_reduce([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        with pytest.raises(ValueError, match="linearly dependent: row 0"):
+            lll_reduce([[0, 0], [1, 0]])
+
+    def test_lovasz_equality_does_not_swap(self):
+        # |b1*|^2 = 3 = (3/4 - 0) * |b0*|^2: the condition holds with equality
+        basis = [[2, 0, 0, 0], [0, 1, 1, 1]]
+        assert lll_reduce(basis) == reference_lll(basis) == basis
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_small_entries(self, data):
+        n = data.draw(st.integers(2, 6))
+        width = data.draw(st.integers(n, n + 2))
+        entry = st.integers(-20, 20)
+        basis = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                                   min_size=n, max_size=n))
+        assume(all(gram_schmidt(basis)[1]))
+        red = lll_reduce(basis)
+        assert red == reference_lll(basis)
+        assert is_lll_reduced(red)
+
+    @given(st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_reference_relation_rows(self, data):
+        # the shape recognize builds: (e_i | x_i), x_i up to 512 bits
+        n = data.draw(st.integers(2, 4))
+        bits = data.draw(st.sampled_from((16, 64, 256, 512)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        xs = [rng.randrange(-(2**bits), 2**bits) for _ in range(n)]
+        rows = [[int(i == j) for j in range(n)] + [x] for i, x in enumerate(xs)]
+        red = lll_reduce(rows)
+        assert red == reference_lll(rows)
+        assert is_lll_reduced(red)
 
 
 def _det3(m):
