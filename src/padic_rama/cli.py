@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -39,6 +39,7 @@ from .errors import (
     PadicRamaError,
     PrecisionUnavailable,
     SchemaError,
+    UnknownCoefficient,
 )
 from .exactnum import primes_in_range
 from .expansion import ExpansionClaim, shifted_expansion, verify_expansion
@@ -51,7 +52,7 @@ EXIT_PRECISION = 3
 
 # Closed bounds on integer inputs.  Each applies to the option and to the file
 # field that carry the same quantity.
-MOD_POWER = (1, 32)      # --mod-power, --max-power, a template's mod_power
+MOD_POWER = (1, 32)      # --max-power, a template's mod_power
 ORDER = (0, 16)          # --order, a claims file's order
 PRECISION = (64, 65536)  # --prec, in bits
 PRIME_MAX = 10**6        # top of --primes; the prime sieve allocates that many bytes
@@ -181,8 +182,9 @@ def serialize_series(spec: SeriesSpec) -> dict:
     }
 
 
-# A constant is "one" or {kind: arg}, where arg is the class's one integer
-# field or the list of its fields, e.g. {"zeta_p": 3} or {"l_p": [-4, 3]}.
+# A constant is "one" or {kind: arg}, where arg is the list of the class's
+# integer fields or, for a class with one field, that field alone, e.g.
+# {"zeta_p": 3}, {"zeta_p": [3]} or {"l_p": [-4, 3]}.
 TEMPLATE_KINDS = {"kron": Kron, "zeta_p": ZetaP, "l_p": LQp}
 CLAIM_KINDS = {"pi_power": PiPower, "zeta": Zeta, "sqrt": SqrtDisc, "l": Lquad}
 _TEMPLATE_KIND_OF = {cls: kind for kind, cls in TEMPLATE_KINDS.items()}
@@ -196,8 +198,8 @@ def _constant(raw, where: str, kinds: dict):
         if kind in kinds:
             where = f"{where}:{kind}"
             names = [f.name for f in fields(kinds[kind])]
-            args = arg if len(names) > 1 else [arg]
-            if not isinstance(args, list) or len(args) != len(names):
+            args = arg if isinstance(arg, list) else [arg]
+            if len(args) != len(names):
                 raise SchemaError(f"{where}: takes [{', '.join(names)}]")
             return _tag(kinds[kind], where, *(_integer(a, where) for a in args))
     raise SchemaError(f"{where}: unknown constant {raw!r}")
@@ -216,7 +218,7 @@ def _candidates(text: str) -> list:
     out = []
     for item in filter(None, (c.strip() for c in text.split(","))):
         kind, *args = item.split(":")
-        raw = item if item == "one" else {kind: args[0] if len(args) == 1 else args}
+        raw = item if item == "one" else {kind: args}
         out.append(_constant(raw, f"--candidates {item!r}", TEMPLATE_KINDS))
     return out
 
@@ -333,13 +335,9 @@ def parse_prime_range(text: str) -> tuple[int, int]:
     return lo, _bounded(hi, "--primes upper end", lo, PRIME_MAX)
 
 
-def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate, lo: int, hi: int,
-                      exclude: Sequence[int] = ()) -> list[int]:
-    """The primes in [lo, hi], less ``exclude`` and the primes that
-    ``congruence.inadmissible`` rejects."""
-    banned = set(exclude)
-    return [p for p in primes_in_range(lo, hi)
-            if p not in banned and not inadmissible(spec, tpl, p)]
+def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate, lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi] that ``congruence.inadmissible`` accepts."""
+    return [p for p in primes_in_range(lo, hi) if not inadmissible(spec, tpl, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +408,14 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
 def _run_congruence(args: argparse.Namespace) -> tuple[int, dict, str]:
     spec = parse_series(resolve_input(args.spec))
     tpl = parse_template(resolve_input(args.template))
-    if args.mod_power is not None:
-        tpl = replace(tpl, modulus_power=args.mod_power)
     lo, hi = args.primes
-    primes = admissible_primes(spec, tpl, lo, hi, args.exclude)
+    primes = admissible_primes(spec, tpl, lo, hi)
     report = verify_congruence(spec, tpl, primes)
     lines = [f"{spec.name} vs template mod p^{tpl.modulus_power} "
              f"over {len(primes)} primes in [{lo}, {hi}]"]
     for r in report.rows:
-        if r.skipped:
-            lines.append(f"  p={r.p}: skipped ({r.note})")
-        else:
-            status = "pass" if r.passed else f"FAIL (defect at p^{r.defect_valuation})"
-            lines.append(f"  p={r.p}: {status}")
+        status = "pass" if r.passed else f"FAIL (defect at p^{r.defect_valuation})"
+        lines.append(f"  p={r.p}: {status}")
     c = report.counts
     lines.append(f"pass {c['pass']}, fail {c['fail']}, skip {c['skip']}")
     payload = {"command": "congruence", **report.as_dict()}
@@ -432,7 +425,7 @@ def _run_congruence(args: argparse.Namespace) -> tuple[int, dict, str]:
 def _run_fit(args: argparse.Namespace) -> tuple[int, dict, str]:
     spec = parse_series(resolve_input(args.spec))
     tpl = parse_template(resolve_input(args.template))
-    primes = admissible_primes(spec, tpl, *args.primes, args.exclude)
+    primes = admissible_primes(spec, tpl, *args.primes)
     result = fit_unknowns(spec, tpl, primes)
     payload = {
         "command": "fit",
@@ -455,7 +448,7 @@ def _run_scan(args: argparse.Namespace) -> tuple[int, dict, str]:
     tpl = parse_template(resolve_input(args.template))
     if not args.candidates:
         raise SchemaError("scan needs --candidates")
-    primes = admissible_primes(spec, tpl, *args.primes, args.exclude)
+    primes = admissible_primes(spec, tpl, *args.primes)
     report = scan_next_term(spec, tpl, primes, args.candidates, max_power=args.max_power)
     lines = [f"{spec.name}: scan outcome = {report.outcome}"]
     if report.note:
@@ -495,22 +488,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, template=False):
+    def command(name, run, help, template=False, formats=("text", "json")):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--spec", required=True, help="series file or fixture name")
         if template:
             p.add_argument("--template", required=True,
                            help="template file or fixture name")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
         if template:
             p.add_argument("--primes", type=parse_prime_range, default="5..199",
                            metavar="LO..HI")
-            p.add_argument("--exclude", default="", metavar="P1,P2",
-                           type=lambda text: tuple(_integer(x, "--exclude")
-                                                   for x in text.split(",") if x.strip()),
-                           help="extra primes to skip")
         return p
 
     p = command("sum-check", _run_sum_check, "full sum vs closed form")
@@ -524,10 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="BITS")
     p.add_argument("--verify", metavar="CLAIMS", help="claims file or fixture name")
 
-    p = command("congruence", _run_congruence, "verify a template over a prime range",
-                template=True)
-    p.add_argument("--mod-power", type=_bounded_option("--mod-power", MOD_POWER),
-                   metavar="M", help="override the template's modulus power")
+    command("congruence", _run_congruence, "verify a template over a prime range",
+            template=True, formats=("text", "json", "csv"))
 
     command("fit", _run_fit, "recover unknown template coefficients", template=True)
 
@@ -550,7 +537,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, payload, text = args.run(args)
         if args.format == "json":
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        elif args.format == "csv" and args.command == "congruence":
+        elif args.format == "csv":
             text = _csv(payload["rows"])
         if args.output:
             try:
@@ -562,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except SystemExit as exc:  # argparse's own usage errors, and --help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (SchemaError, InvariantViolation, FileNotFoundError) as exc:
+    except (SchemaError, InvariantViolation, UnknownCoefficient, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PrecisionUnavailable, InsufficientPrecision) as exc:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -105,10 +106,6 @@ class TestAdmissiblePrimes:
         primes = admissible_primes(series["gourevitch"], templates["eq14"], 5, 60)
         assert primes[0] == 7  # L at k=4 needs p >= 6
 
-    def test_extra_exclusions(self, series, templates):
-        primes = admissible_primes(series["eq2"], templates["eq5"], 5, 60, (11, 13))
-        assert 11 not in primes and 13 not in primes
-
 
 class TestCommands:
     def test_congruence_pass(self, capsys):
@@ -178,8 +175,6 @@ class TestCommands:
         assert main(["sum-check", "--spec", "missing-fixture"]) == EXIT_USAGE
         assert main(["scan", "--spec", "eq6", "--template", "eq8",
                      "--primes", "5..60"]) == EXIT_USAGE  # no candidates
-        assert main(["congruence", "--spec", "eq2", "--template", "eq5",
-                     "--primes", "5..60", "--mod-power", "7"]) == EXIT_USAGE
 
     def test_argparse_error_maps_to_usage(self, capsys):
         assert main(["congruence", "--spec", "eq2"]) == EXIT_USAGE
@@ -217,7 +212,6 @@ MALFORMED = [
     ("eq3-claims", ("claims", 0, "order"), -1),
     ("eq3-claims", ("claims", 3, "order"), 6),
     ("eq3-claims", ("claims", 1, "order"), 0),
-    (None, "--exclude", "a"),
     (None, "--candidates", "zeta_p:x"),
     (None, "--primes", "5..1000001"),
     (None, "--primes", "30..5"),
@@ -358,8 +352,6 @@ def test_no_defect_reads_candidates_like_found(tmp_path, capsys):
     (["sum-check", "--spec", "eq2", "--prec", "65537"], "--prec must be within 64..65536"),
     (["expand", "--spec", "eq2", "--prec", "63"], "--prec must be within 64..65536"),
     (["expand", "--spec", "eq2", "--order", "17"], "--order must be within 0..16"),
-    (["congruence", "--spec", "eq2", "--template", "eq5", "--mod-power", "33"],
-     "--mod-power must be within 1..32"),
 ])
 def test_option_bounds(capsys, argv, message):
     assert main(argv) == EXIT_USAGE
@@ -403,13 +395,8 @@ def test_unevaluable_constant_rejected_at_parse(tmp_path, capsys, constant, mess
     assert capsys.readouterr().err == f"error: bad.json:terms[0]:{kind}: {message}\n"
 
 
-@pytest.mark.parametrize("primes, exclude", [
-    ("4..4", ""),
-    ("5..30", "5,7,11,13,17,19,23,29"),
-])
-def test_congruence_needs_a_prime(capsys, primes, exclude):
-    argv = ["congruence", "--spec", "eq2", "--template", "eq5", "--primes", primes,
-            "--exclude", exclude]
+def test_congruence_needs_a_prime(capsys):
+    argv = ["congruence", "--spec", "eq2", "--template", "eq5", "--primes", "4..4"]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "error: primes: verification needs at least one, got 0\n")
@@ -421,9 +408,49 @@ def test_fit_needs_two_primes(capsys):
     assert capsys.readouterr().err == "error: primes: fitting needs at least two, got 1\n"
 
 
-def test_candidates_read_like_template_constants():
+def test_candidates_read_like_template_constants(tmp_path):
     assert _candidates("one, kron:-4,zeta_p:3,l_p:-4:3") == [
         ONE, Kron(-4), ZetaP(3), LQp(-4, 3)]
-    for bad in ("zeta", "kron", "l_p:-4", "zeta_p:3:1"):
-        with pytest.raises(SchemaError):
+    for bad, message in [("zeta", "unknown constant"), ("kron", "kron: takes [disc]"),
+                         ("l_p:-4", "l_p: takes [disc, k]"),
+                         ("zeta_p", "zeta_p: takes [k]"),
+                         ("zeta_p:3:1", "zeta_p: takes [k]")]:
+        with pytest.raises(SchemaError, match=re.escape(message)):
             _candidates(bad)
+    # a template constant's argument is read the same way: the list of its
+    # fields, or a one-field constant's field alone
+    for arg, expected in [(3, ZetaP(3)), ([3], ZetaP(3)), ([], None), ([3, 1], None)]:
+        path = tmp_path / "tpl.json"
+        path.write_text(json.dumps({
+            "mod_power": 3,
+            "terms": [{"exponent": 2, "constant": {"zeta_p": arg}, "coefficient": "1"}],
+        }))
+        if expected is None:
+            with pytest.raises(SchemaError, match=re.escape("terms[0]:zeta_p: takes [k]")):
+                parse_template(path)
+        else:
+            assert parse_template(path).terms[0].constant == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["congruence", "--spec", "eq2", "--template", "eq5-unknowns"],
+    ["scan", "--spec", "eq2", "--template", "eq5-unknowns", "--candidates", "one"],
+], ids=lambda argv: argv[0])
+def test_template_with_unknowns_is_a_usage_error(capsys, argv):
+    # only fit reads "?" coefficients; the other template commands need them known
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: template has unresolved coefficients\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum-check", "--spec", "eq2"],
+    ["expand", "--spec", "eq2", "--order", "1", "--prec", "64"],
+    ["fit", "--spec", "eq9", "--template", "eq11-unknowns", "--primes", "7..60"],
+    ["scan", "--spec", "eq6", "--template", "eq8", "--candidates", "one"],
+], ids=lambda argv: argv[0])
+def test_csv_is_congruence_only(capsys, argv):
+    # csv lays out congruence rows; no other report has them
+    assert main([*argv, "--format", "csv"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'csv'" in captured.err
