@@ -273,6 +273,7 @@ class ClaimsFile:
     order: int
     claims: tuple[ExpansionClaim, ...]
     tolerance: Optional[str] = None  # decimal string, e.g. "1e-40"
+    series: Optional[str] = None  # the name of the series the claims are about
 
 
 def parse_claims(path: Path | str) -> ClaimsFile:
@@ -308,6 +309,7 @@ def parse_claims(path: Path | str) -> ClaimsFile:
         order=order,
         claims=tuple(claims),
         tolerance=tolerance,
+        series=None if data.get("series") is None else str(data["series"]),
     )
 
 
@@ -388,6 +390,9 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
         lines += [f"  x^{k}: {c}" for k, c in enumerate(payload["coefficients"])]
         return EXIT_OK, payload, "\n".join(lines) + "\n"
     claims = parse_claims(resolve_input(args.verify))
+    if claims.series is not None and claims.series != spec.name:
+        raise SchemaError(f"claims {claims.name!r} are about series {claims.series!r}, "
+                          f"not {spec.name!r}")
     tol = mpf(claims.tolerance) if claims.tolerance else None
     report = verify_expansion(
         spec.scaled(claims.scale), claims.claims, claims.order, bits, tolerance=tol

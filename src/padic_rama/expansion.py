@@ -8,8 +8,10 @@ exp(G_n(x)) * P(n+x) / (alpha(n+x)+beta) with
     G_{n+1}(x) - G_n(x) = sum_i log(a_i+n+x) - sum_j log(b_j+n+x) + log z,
     log(a+n+x) = log(a+n) + sum_{k>=1} (-1)^{k+1} x^k / (k (a+n)^k),
 
-only the n = 0 base case needs digamma / Hurwitz-zeta values; every later
-term costs O(K) series additions plus one truncated exponential.
+only the n = 0 base case needs digamma / Hurwitz-zeta values.  Each later
+term costs one log(a+n) and K powers (a+n)^k per distinct parameter a (the
+lists repeat parameters, so this is 2 of 10 for eq2), K + 1 additions per
+listed parameter, one truncated exponential and O(K^2) series products.
 """
 
 from __future__ import annotations
@@ -137,6 +139,20 @@ def _poly_shift(poly: Sequence[Fraction], n: int, K: int) -> list[Fraction]:
     return out
 
 
+def _add_per_parameter(G: list, spec: SeriesSpec, first: int, values) -> None:
+    """G[first + i] += values(a)[i] for each upper parameter a, then
+    G[first + i] -= values(b)[i] for each lower parameter b, in list order;
+    ``values`` runs once per distinct parameter, since the lists repeat
+    parameters (eq2 has five 1/2 and five 1)."""
+    cache = {a: values(a) for a in dict.fromkeys((*spec.upper, *spec.lower))}
+    for a in spec.upper:
+        for k, v in enumerate(cache[a], first):
+            G[k] += v
+    for b in spec.lower:
+        for k, v in enumerate(cache[b], first):
+            G[k] -= v
+
+
 def shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> TruncatedSeries:
     """x-expansion through order K of the series with every index shifted by
     x (rising factorials continued through the gamma function, the geometric
@@ -157,19 +173,18 @@ def shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> Truncate
 
         # G_0(x): digamma / Hurwitz-zeta data of the shifted rising factorials
         G = [mp.zero] * (K + 1)
-        for a in spec.upper:
+
+        def base_case(a):  # the x^1..x^K coefficients of log Gamma(a + x)
             am = to_mpf(a)
-            if K >= 1:
-                G[1] += mp.digamma(am)
-            for k in range(2, K + 1):
-                G[k] += (-1) ** k * mp.zeta(k, am) / k
-        for b in spec.lower:
-            bm = to_mpf(b)
-            if K >= 1:
-                G[1] -= mp.digamma(bm)
-            for k in range(2, K + 1):
-                G[k] -= (-1) ** k * mp.zeta(k, bm) / k
+            return [mp.digamma(am)] + [(-1) ** k * mp.zeta(k, am) / k
+                                       for k in range(2, K + 1)]
+
+        def shift(a):  # the x^0..x^K coefficients of log(a + n + x)
+            an = to_mpf(a) + n
+            return [mp.log(an)] + [(-1) ** (k + 1) / (k * an**k) for k in range(1, K + 1)]
+
         if K >= 1:
+            _add_per_parameter(G, spec, 1, base_case)
             G[1] += logbase
 
         total = TruncatedSeries.constant(mp.zero, K)
@@ -201,16 +216,7 @@ def shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> Truncate
                     return TruncatedSeries(tuple(+c for c in total.coeffs), +bound)
 
             # advance G by one index shift
-            for a in spec.upper:
-                an = to_mpf(a) + n
-                G[0] += mp.log(an)
-                for k in range(1, K + 1):
-                    G[k] += (-1) ** (k + 1) / (k * an**k)
-            for b in spec.lower:
-                bn = to_mpf(b) + n
-                G[0] -= mp.log(bn)
-                for k in range(1, K + 1):
-                    G[k] -= (-1) ** (k + 1) / (k * bn**k)
+            _add_per_parameter(G, spec, 0, shift)
             G[0] += logbase
             prev_norm = norm
             n += 1

@@ -1,7 +1,9 @@
 """Data model and evaluators for Ramanujan-like hypergeometric series:
 exact terms, exact truncated sums over n = 0..p-1, and one integer
-recurrence for both their residues modulo p^m at many primes and the full
-sums, summed exactly and rounded once, to check against their closed forms.
+recurrence, written once as the step triple of ``_step``, for both their
+residues modulo p^m at many primes (stepped term by term) and the full sums
+(steps combined by a product tree, summed exactly and rounded once), to
+check against their closed forms.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .constants import PiPower, SqrtDisc, constant_value, to_mpf
 from .errors import BadPrime, InvariantViolation, NegativeValuationSum
@@ -193,26 +196,45 @@ def _integer_factors(spec: SeriesSpec):
     return num, den, a, b, spec.multiplier * lin_den / poly_den
 
 
-def _partial_sums(factors) -> Iterator[tuple[int, int, int]]:
-    """The one integer recurrence behind every sum of a series: with
-    (num, den, a, b, c) from ``_integer_factors``, yield (N, D, T) for
-    n = 0, 1, ..., where N/D is the sum of terms 0..n and T/D is term n.
-    With H = c.numerator times the product of num(k)*b(k) over k < n, adding
-    term n is N <- N*b(n) + a(n)*H, D <- D*b(n); advancing the ratio
-    multiplies N and D by den(n) and H by num(n)*b(n), all small integers.
+def _step(factors, n: int) -> tuple[int, int, int]:
+    """Step n of the one integer recurrence behind every sum of a series, as
+    a triple (q, t, p) acting on the state (N, D, H) by
+
+        N <- q*N + t*H,   D <- q*D,   H <- p*H.
+
+    With (num, den, a, b, c) from ``_integer_factors`` and the start state
+    (0, c.denominator, c.numerator), the state after step n has N/D equal to
+    the sum of terms 0..n and a(n)*H/D equal to term n.  Step n advances the
+    ratio past n - 1 (N, D times den(n-1), H times num(n-1)*b(n-1)) and then
+    adds term n (N <- N*b(n) + a(n)*H, D <- D*b(n)).
     """
-    num, den, a, b, c = factors
+    num, den, a, b, _ = factors
+    if n == 0:
+        return b(0), a(0), 1
+    p = num(n - 1) * b(n - 1)
+    return den(n - 1) * b(n), a(n) * p, p
+
+
+def _steps(factors, lo: int, hi: int) -> tuple[int, int, int]:
+    """Steps lo..hi-1 of ``_step`` as one triple, by binary splitting: step
+    (q1, t1, p1) followed by (q2, t2, p2) is (q1*q2, q2*t1 + t2*p1, p1*p2)."""
+    if hi - lo == 1:
+        return _step(factors, lo)
+    mid = (lo + hi) // 2
+    q1, t1, p1 = _steps(factors, lo, mid)
+    q2, t2, p2 = _steps(factors, mid, hi)
+    return q1 * q2, q2 * t1 + t2 * p1, p1 * p2
+
+
+def _partial_sums(factors) -> Iterator[tuple[int, int]]:
+    """(N, D) after each ``_step`` n = 0, 1, ...: N/D is the sum of terms
+    0..n.  Every step multiplies big integers by small ones only."""
+    c = factors[4]
     N, D, H = 0, c.denominator, c.numerator
     for n in itertools.count():
-        bn = b(n)
-        T = a(n) * H
-        N = N * bn + T
-        D *= bn
-        yield N, D, T
-        dn = den(n)
-        N *= dn
-        D *= dn
-        H *= num(n) * bn
+        q, t, p = _step(factors, n)
+        N, D, H = q * N + t * H, q * D, p * H
+        yield N, D
 
 
 def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[int, int]:
@@ -231,7 +253,7 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
         spec.check_prime(p)
     out: dict[int, int] = {}
     sums = _partial_sums(_integer_factors(spec))
-    for n, (N, D, _) in zip(range(primes[-1] if primes else 0), sums):
+    for n, (N, D) in zip(range(primes[-1] if primes else 0), sums):
         p = n + 1
         if p != primes[len(out)]:
             continue
@@ -254,9 +276,21 @@ def truncated_sum_mod(spec: SeriesSpec, p: int, m: int) -> int:
     return truncated_sums_mod(spec, [p], m)[p]
 
 
+def _fdiv(x: int, y: int) -> mpf:
+    """``mp.fdiv(x, y)`` for integers x and y > 0: the same correctly
+    rounded mpf at the working precision.  mpmath strips trailing zero bits
+    from each integer a byte at a time and then divides out every bit by
+    which x is longer than y; here the quotient gets prec + 5 bits and a
+    sticky bit, which round the same way."""
+    k = mp.prec + 5 - x.bit_length() + y.bit_length()
+    q, r = divmod(abs(x) << k, y) if k >= 0 else divmod(abs(x), y << -k)
+    man = 2 * q + (r != 0)
+    return mp.make_mpf(from_man_exp(-man if x < 0 else man, -k - 1, mp.prec, round_nearest))
+
+
 def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
     """(value, certified_bound): the full sum, summed exactly in integers by
-    ``_partial_sums`` and rounded once, to precision_bits + 48 bits.
+    the ``_step`` recurrence and rounded once, to precision_bits + 48 bits.
 
     Summation stops before term n once the geometric tail bound
     |term n| / (1 - r) is below 2^-precision_bits, tested exactly; r is
@@ -264,27 +298,58 @@ def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
     polynomial growth.  A zero term (a root of P) bounds nothing and never
     stops the sum, unless every term vanishes.  The bound adds
     (terms + 1) * eps * (|value| + 1).
+
+    The stop index is found by a float screen S = precision_bits + log2 of
+    the tail bound, built from log2 of the small factors: S < 0 is the stop
+    test.  The running sum of log2|num(k)/den(k)| is kept in integer units
+    of 2^-32 bit, so each of its n increments errs by less than 2^-32 bit
+    and the additions add nothing; the float operations that finish S (a
+    division, six additions and the log2 of four small integers) err by
+    less than 2^-18 bit while its summands stay below 2^30.  So S is within
+    (n + 2^14) * 2^-32 bit of its exact value, below the margin delta = 1
+    bit for any n < 2^31, and S >= 1 means "not yet" for certain.  At each n with S < 1, one product tree of the steps since the
+    last exact state (``_steps``) brings the exact state to n and the exact
+    integer test decides.  The trees cost O(M(size) log n) in all, where
+    testing every term exactly costs n passes over growing integers.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    num, den, a, b, _ = factors = _integer_factors(spec)
-    sums = _partial_sums(factors)
-    N, D, _ = next(sums)  # N/D: terms 0..n-1
-    for n, (N_next, D_next, T) in enumerate(sums, 1):  # T/D_next: term n
-        a_prev = a(n - 1)
-        rho = (Fraction(abs(a(n) * num(n - 1) * b(n - 1)),
-                        abs(a_prev * den(n - 1) * b(n))) if a_prev else spec.base)
-        r = max(spec.base, rho) * Fraction(n + 8, n)
-        if r < 1 and (T or spec.vanishes):
-            # the tail bound is top/bot; stop when it is below 2^-precision_bits
-            top = abs(T) * r.denominator
-            bot = abs(D_next) * (r.denominator - r.numerator)
-            if top << precision_bits < bot:
-                with mp.workprec(precision_bits + 48):
-                    total = mp.fdiv(N, D)
-                    rounding = (n + 1) * mp.eps * (abs(total) + 1)
-                    return total, mp.fdiv(top, bot) + rounding
-        N, D = N_next, D_next
+    num, den, a, b, c = factors = _integer_factors(spec)
+    base = spec.base
+    N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
+    done = 0
+    log_c = 0.0 if spec.vanishes else (math.log2(abs(c.numerator))
+                                       - math.log2(c.denominator))
+    log_hyper = 0  # log2 |prod_{k<n} num(k)/den(k)|, in units of 2^-32 bit
+    a_prev = a(0)
+    for n in itertools.count(1):
+        num_prev, den_prev, b_prev = num(n - 1), den(n - 1), b(n - 1)
+        log_hyper += round(
+            (math.log2(abs(num_prev)) - math.log2(abs(den_prev))) * 2**32)
+        an, bn = a(n), b(n)
+        rn, rd = base.numerator, base.denominator
+        if a_prev:  # |term n / term n-1| when term n-1 is not zero
+            rho_n, rho_d = abs(an * num_prev * b_prev), abs(a_prev * den_prev * bn)
+            if rho_n * rd >= rn * rho_d:
+                rn, rd = rho_n, rho_d
+        rn, rd = rn * (n + 8), rd * n  # r = rn/rd
+        a_prev = an
+        if rn >= rd:
+            continue
+        if not spec.vanishes and (not an or (
+                log_hyper / 2**32 + log_c + math.log2(abs(an)) - math.log2(abs(bn))
+                + math.log2(rd) - math.log2(rd - rn) + precision_bits >= 1)):
+            continue
+        q, t, p = _steps(factors, done, n + 1)
+        N, D, H = q * N + t * H, q * D, p * H
+        done = n + 1
+        T = an * H  # T/D: term n; N/D: terms 0..n
+        top, bot = abs(T) * rd, abs(D) * (rd - rn)
+        if top << precision_bits < bot:
+            with mp.workprec(precision_bits + 48):
+                total = _fdiv(N - T, D)
+                rounding = (n + 1) * mp.eps * (abs(total) + 1)
+                return total, _fdiv(top, bot) + rounding
 
 
 def rhs_value(spec: SeriesSpec, precision_bits: int) -> mpf:

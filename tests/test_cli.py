@@ -156,6 +156,12 @@ class TestCommands:
         assert code == EXIT_OK
         assert "all pass" in capsys.readouterr().out
 
+    def test_expand_verify_names_both_series_on_a_mismatch(self, capsys):
+        code = main(["expand", "--spec", "eq2", "--verify", "eq7-claims"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: claims 'eq7' are about series 'eq6', not 'eq2'\n"
+
     def test_fit(self, capsys):
         code = main(["fit", "--spec", "eq9", "--template", "eq11-unknowns",
                      "--primes", "7..199"])
@@ -212,6 +218,7 @@ MALFORMED = [
     ("eq3-claims", ("claims", 0, "order"), -1),
     ("eq3-claims", ("claims", 3, "order"), 6),
     ("eq3-claims", ("claims", 1, "order"), 0),
+    ("eq3-claims", ("series",), "eq6"),
     (None, "--candidates", "zeta_p:x"),
     (None, "--primes", "5..1000001"),
     (None, "--primes", "30..5"),

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from padic_rama.expansion import shifted_expansion
 from padic_rama.series import (
     ClosedForm,
     SeriesSpec,
+    _fdiv,
     numeric_sum,
     pochhammer,
     rhs_value,
@@ -20,6 +22,8 @@ from padic_rama.series import (
     truncated_sum_mod,
     truncated_sums_mod,
 )
+
+from numeric_sum_reference import reference_numeric_sum
 
 F = Fraction
 
@@ -261,6 +265,58 @@ class TestNumericSum:
     def test_zero_poly(self):
         v, b = numeric_sum(make_spec(**ZERO_POLY), 128)
         assert v == 0
+
+
+def same_as_reference(spec, bits):
+    value, bound = numeric_sum(spec, bits)
+    want_value, want_bound = reference_numeric_sum(spec, bits)
+    return value._mpf_ == want_value._mpf_ and bound._mpf_ == want_bound._mpf_
+
+
+@st.composite
+def sum_specs(draw):
+    """small_specs, some with a zero term (P times n - root, root >= 0),
+    some vanishing, and some with a power-of-two base, where log2 of the
+    term is an integer and the float screen sits on its edge."""
+    spec = draw(small_specs())
+    kind = draw(st.sampled_from(["plain", "zero term", "vanishing", "power of two"]))
+    if kind == "zero term" and not spec.vanishes:
+        root = draw(st.integers(0, 12))
+        poly = (*spec.poly, F(0))
+        poly = tuple(poly[i - 1] - root * poly[i] if i else -root * poly[0]
+                     for i in range(len(poly)))
+        spec = replace(spec, poly=poly)
+    elif kind == "vanishing":
+        spec = replace(spec, **draw(st.sampled_from([dict(multiplier=F(0)), ZERO_POLY])))
+    elif kind == "power of two":
+        spec = replace(spec, base=F(1, 2 ** draw(st.integers(1, 12))))
+    return spec
+
+
+class TestNumericSumAgainstReference:
+    """The screened product-tree sum against the term-by-term loop that tests
+    the stop rule exactly at every term: the same mpf value and bound."""
+
+    @pytest.mark.parametrize("bits", [64, 128, 512, 4096])
+    def test_shipped_series(self, series, bits):
+        for spec in series.values():
+            assert same_as_reference(spec, bits), spec.name
+
+    def test_eq6_at_8192_bits(self, series):
+        assert same_as_reference(series["eq6"], 8192)
+
+    @given(sum_specs(), st.sampled_from([64, 65, 100, 128, 256]))
+    @settings(max_examples=120, deadline=None)
+    def test_drawn_specs(self, spec, bits):
+        assert same_as_reference(spec, bits)
+
+    @given(st.integers(-2**3000, 2**3000), st.integers(1, 2**3000),
+           st.integers(53, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_division_rounds_like_mpmath(self, x, y, prec):
+        for y in (y, y << 200, y * 3**50):
+            with mp.workprec(prec):
+                assert _fdiv(x, y)._mpf_ == mp.fdiv(x, y)._mpf_
 
 
 class TestRhsValue:
