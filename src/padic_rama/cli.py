@@ -303,9 +303,12 @@ def parse_claims(path: Path | str) -> ClaimsFile:
                 ),
             )
         )
+    scale = _rational(data.get("scale", "1"), f"{where}:scale")
+    if scale <= 0:
+        raise SchemaError(f"{where}:scale: must be a positive rational")
     return ClaimsFile(
         name=str(data.get("name", path.stem)),
-        scale=_rational(data.get("scale", "1"), f"{where}:scale"),
+        scale=scale,
         order=order,
         claims=tuple(claims),
         tolerance=tolerance,

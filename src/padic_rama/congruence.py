@@ -499,7 +499,7 @@ def scan_next_term(
     ``max_power`` (default M + 4) must exceed M, else InvariantViolation;
     a template that fails modulo p^M at some prime raises
     InconsistentResidues.  The primes that ``inadmissible`` rejects are
-    dropped first.
+    dropped first, and InvariantViolation is raised when none is left.
     """
     if not tpl.fully_known:
         raise UnknownCoefficient("template has unresolved coefficients")
@@ -528,6 +528,8 @@ def scan_next_term(
         )
 
     primes = sorted(p for p in set(primes) if not inadmissible(spec, tpl, p))
+    if not primes:
+        raise InvariantViolation("primes", "scanning needs at least one, got 0")
     # all surviving constants are exact (One/Kron), so the template extends
     # to any modulus
     defects = _residuals(spec, tpl, primes, limit)

@@ -1,9 +1,9 @@
 """Data model and evaluators for Ramanujan-like hypergeometric series:
 exact terms, exact truncated sums over n = 0..p-1, and one integer
-recurrence, written once as the step triple of ``_step``, for both their
-residues modulo p^m at many primes (stepped term by term) and the full sums
-(steps combined by a product tree, summed exactly and rounded once), to
-check against their closed forms.
+recurrence, written once as the step triple of ``_step`` and combined only
+by the product tree ``_steps``, for both their residues modulo p^m at many
+primes (one tree per gap between primes) and the full sums (summed exactly
+and rounded once), to check against their closed forms.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
@@ -226,22 +226,13 @@ def _steps(factors, lo: int, hi: int) -> tuple[int, int, int]:
     return q1 * q2, q2 * t1 + t2 * p1, p1 * p2
 
 
-def _partial_sums(factors) -> Iterator[tuple[int, int]]:
-    """(N, D) after each ``_step`` n = 0, 1, ...: N/D is the sum of terms
-    0..n.  Every step multiplies big integers by small ones only."""
-    c = factors[4]
-    N, D, H = 0, c.denominator, c.numerator
-    for n in itertools.count():
-        q, t, p = _step(factors, n)
-        N, D, H = q * N + t * H, q * D, p * H
-        yield N, D
-
-
 def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[int, int]:
     """The truncated sum over n < p modulo p^m, as an integer in [0, p^m),
-    for every prime p given, from one exact pass of ``_partial_sums`` over
-    n < max(primes).  At p, with v = v_p(D) found exactly, the sum is
-    (N / p^v) * (D / p^v)^-1 modulo p^m, read from N and D modulo p^(v+m).
+    for every prime p given.  The exact state (N, D, H) of ``_step`` moves
+    from one prime to the next by one ``_steps`` tree per gap, the first over
+    0..min(primes), so that N/D is the sum of terms 0..p-1.  At p, with
+    v = v_p(D) found exactly, the sum is (N / p^v) * (D / p^v)^-1 modulo
+    p^m, read from N and D modulo p^(v+m).
 
     Raises BadPrime when a prime divides a structural denominator, and
     NegativeValuationSum at the first prime where the sum is not p-integral.
@@ -251,12 +242,14 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
     primes = sorted(set(primes))
     for p in primes:
         spec.check_prime(p)
+    *_, c = factors = _integer_factors(spec)
+    N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
+    done = 0
     out: dict[int, int] = {}
-    sums = _partial_sums(_integer_factors(spec))
-    for n, (N, D) in zip(range(primes[-1] if primes else 0), sums):
-        p = n + 1
-        if p != primes[len(out)]:
-            continue
+    for p in primes:
+        q, t, s = _steps(factors, done, p)
+        N, D, H = q * N + t * H, q * D, s * H
+        done = p
         v = 0
         while D % p ** (v + 1) == 0:
             v += 1
@@ -307,10 +300,11 @@ def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
     division, six additions and the log2 of four small integers) err by
     less than 2^-18 bit while its summands stay below 2^30.  So S is within
     (n + 2^14) * 2^-32 bit of its exact value, below the margin delta = 1
-    bit for any n < 2^31, and S >= 1 means "not yet" for certain.  At each n with S < 1, one product tree of the steps since the
-    last exact state (``_steps``) brings the exact state to n and the exact
-    integer test decides.  The trees cost O(M(size) log n) in all, where
-    testing every term exactly costs n passes over growing integers.
+    bit for any n < 2^31, and S >= 1 means "not yet" for certain.  At each
+    n with S < 1, one product tree of the steps since the last exact state
+    (``_steps``) brings the exact state to n and the exact integer test
+    decides.  The trees cost O(M(size) log n) in all, where testing every
+    term exactly costs n passes over growing integers.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")

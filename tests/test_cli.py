@@ -227,6 +227,8 @@ MALFORMED = [
     ("eq5", ("terms", 1, "constant"), {"l_p": [-5, 2]}),
     ("eq5", ("terms", 0, "constant"), {"kron": 0}),
     (None, "--candidates", "kron:0"),
+    ("eq3-claims", ("scale",), "0"),
+    ("eq3-claims", ("scale",), "-1"),
 ]
 
 
@@ -413,6 +415,29 @@ def test_fit_needs_two_primes(capsys):
     argv = ["fit", "--spec", "eq9", "--template", "eq11-unknowns", "--primes", "7..7"]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == "error: primes: fitting needs at least two, got 1\n"
+
+
+def test_claims_scale_must_be_positive(tmp_path, capsys):
+    # a zero scale makes every coefficient of the scaled series zero, so the
+    # zero claims below would all pass
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"order": 2, "scale": "0",
+                               "claims": [{"order": 0, "coefficient": "0"}]}))
+    argv = ["expand", "--spec", "eq2", "--verify", str(bad), "--prec", "128"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: bad.json:scale: must be a positive rational\n"
+
+
+@pytest.mark.parametrize("candidates", ["zeta_p:2", "one"])
+def test_scan_needs_a_prime(capsys, candidates):
+    # no prime lies in 24..28: no digit is read, so no outcome is reported
+    head = str(Path(__file__).parents[1] / "perfbench" / "fixtures" / "eq5-head.json")
+    argv = ["scan", "--spec", "eq2", "--template", head, "--primes", "24..28",
+            "--format", "json", "--candidates", candidates]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: primes: scanning needs at least one, got 0\n"
 
 
 def test_candidates_read_like_template_constants(tmp_path):

@@ -428,6 +428,15 @@ class TestAdmissibility:
         assert want.defect_exponent == 3
         assert inadmissible(series["eq6"], t, 5) == "p=5 divides the discriminant 5"
 
+    def test_scan_with_every_prime_dropped_reads_no_verdict(self, series):
+        # 3 divides eq6's structural denominators and 5 the discriminant:
+        # with no prime left there is no digit to read, so no outcome either
+        t = tpl([(0, ONE, 7), (1, Kron(5), 0)], 3)
+        for primes in ([], [3, 5]):
+            with pytest.raises(InvariantViolation,
+                               match="scanning needs at least one, got 0"):
+                scan_next_term(series["eq6"], t, primes, [ZetaP(3)], max_power=5)
+
     @pytest.mark.parametrize("tname", ["eq5", "eq8", "eq11", "eq12", "eq14", "eq16"])
     @pytest.mark.parametrize("sname", ["eq2", "eq6", "eq9", "gourevitch", "eq15"])
     def test_verify_computes_exactly_the_admissible_primes(self, series, templates,

@@ -149,6 +149,18 @@ class TestTruncatedSumMod:
         with pytest.raises(NegativeValuationSum, match="valuation -39"):
             truncated_sum_mod(spec, 5, 1)
 
+    @pytest.mark.parametrize("name", ["eq2", "eq15"])
+    def test_far_window_matches_the_range_from_five(self, series, name):
+        # the first product tree of the window spans n < 1009 in one piece
+        spec = series[name]
+        good = [p for p in primes_in_range(5, 1100) if not spec.is_bad_prime(p)]
+        window = [p for p in good if p >= 1000]
+        got = truncated_sums_mod(spec, window, 6)
+        full = truncated_sums_mod(spec, good, 6)
+        assert got == {p: full[p] for p in window}
+        want = reduce_rational(truncated_sum_exact(spec, 1009), 1009, 6)
+        assert got[1009] == want.residue(6)
+
     def test_batch_matches_single_primes(self, series):
         spec = series["eq15"]
         primes = [p for p in primes_in_range(5, 120) if not spec.is_bad_prime(p)]
