@@ -22,7 +22,6 @@ from .congruence import (
 )
 from .exactnum import (
     PadicResidue,
-    Rational,
     ResidueClass,
     crt_combine,
     kronecker,

@@ -341,7 +341,8 @@ def parse_prime_range(text: str) -> tuple[int, int]:
 
 
 def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate, lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi] that ``congruence.inadmissible`` accepts."""
+    """The primes in [lo, hi] that ``congruence.inadmissible`` accepts: the
+    ones the ``congruence`` command verifies (fit and scan filter their own)."""
     return [p for p in primes_in_range(lo, hi) if not inadmissible(spec, tpl, p)]
 
 
@@ -350,7 +351,7 @@ def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate, lo: int, hi: int
 # payload, text report)
 
 def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
-    spec = parse_series(resolve_input(args.spec))
+    spec = args.spec
     bits = args.prec
     value, bound = numeric_sum(spec, bits)
     target = rhs_value(spec, bits)
@@ -376,7 +377,7 @@ def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
-    spec = parse_series(resolve_input(args.spec))
+    spec = args.spec
     bits = args.prec
     if args.verify is None:
         ts = shifted_expansion(spec, args.order, bits)
@@ -392,7 +393,7 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
                  f"({bits} bits, coefficient error < {payload['error_bound']})"]
         lines += [f"  x^{k}: {c}" for k, c in enumerate(payload["coefficients"])]
         return EXIT_OK, payload, "\n".join(lines) + "\n"
-    claims = parse_claims(resolve_input(args.verify))
+    claims = args.verify
     if claims.series is not None and claims.series != spec.name:
         raise SchemaError(f"claims {claims.name!r} are about series {claims.series!r}, "
                           f"not {spec.name!r}")
@@ -414,8 +415,7 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _run_congruence(args: argparse.Namespace) -> tuple[int, dict, str]:
-    spec = parse_series(resolve_input(args.spec))
-    tpl = parse_template(resolve_input(args.template))
+    spec, tpl = args.spec, args.template
     lo, hi = args.primes
     primes = admissible_primes(spec, tpl, lo, hi)
     report = verify_congruence(spec, tpl, primes)
@@ -431,10 +431,8 @@ def _run_congruence(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _run_fit(args: argparse.Namespace) -> tuple[int, dict, str]:
-    spec = parse_series(resolve_input(args.spec))
-    tpl = parse_template(resolve_input(args.template))
-    primes = admissible_primes(spec, tpl, *args.primes)
-    result = fit_unknowns(spec, tpl, primes)
+    spec = args.spec
+    result = fit_unknowns(spec, args.template, primes_in_range(*args.primes))
     payload = {
         "command": "fit",
         "series": spec.name,
@@ -452,12 +450,11 @@ def _run_fit(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _run_scan(args: argparse.Namespace) -> tuple[int, dict, str]:
-    spec = parse_series(resolve_input(args.spec))
-    tpl = parse_template(resolve_input(args.template))
+    spec = args.spec
     if not args.candidates:
         raise SchemaError("scan needs --candidates")
-    primes = admissible_primes(spec, tpl, *args.primes)
-    report = scan_next_term(spec, tpl, primes, args.candidates, max_power=args.max_power)
+    report = scan_next_term(spec, args.template, primes_in_range(*args.primes),
+                            args.candidates, max_power=args.max_power)
     lines = [f"{spec.name}: scan outcome = {report.outcome}"]
     if report.note:
         lines.append(f"  {report.note}")
@@ -488,6 +485,11 @@ def _bounded_option(name: str, bounds: tuple[int, int]):
     return lambda text: _bounded(text, name, *bounds)
 
 
+def _input_option(parse):
+    """An argparse ``type=`` that reads a file or packaged fixture with ``parse``."""
+    return lambda name: parse(resolve_input(name))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-rama",
@@ -499,10 +501,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, run, help, template=False, formats=("text", "json")):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("--spec", required=True, help="series file or fixture name")
+        p.add_argument("--spec", type=_input_option(parse_series), required=True,
+                       help="series file or fixture name")
         if template:
-            p.add_argument("--template", required=True,
-                           help="template file or fixture name")
+            p.add_argument("--template", type=_input_option(parse_template),
+                           required=True, help="template file or fixture name")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
         if template:
@@ -519,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="K")
     p.add_argument("--prec", type=_bounded_option("--prec", PRECISION), default=256,
                    metavar="BITS")
-    p.add_argument("--verify", metavar="CLAIMS", help="claims file or fixture name")
+    p.add_argument("--verify", type=_input_option(parse_claims), metavar="CLAIMS",
+                   help="claims file or fixture name")
 
     command("congruence", _run_congruence, "verify a template over a prime range",
             template=True, formats=("text", "json", "csv"))
@@ -537,9 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; returns the process exit code.  A malformed option
-    raises SchemaError out of argparse's ``type=`` converters and exits 2
-    like a malformed file."""
+    """Run one command; returns the process exit code.  argparse's ``type=``
+    converters read every option and input file in command-line order, and
+    what they reject raises out of them and exits 2."""
     try:
         args = _build_parser().parse_args(argv)
         code, payload, text = args.run(args)

@@ -5,10 +5,11 @@ term beyond a verified modulus.
 
 A claim speaks about every prime outside a finite exceptional set, and
 ``inadmissible`` is the one statement of that set: primes dividing a
-denominator of the series, the scale, or a known coefficient, or a
-discriminant, and primes below a one-digit constant's reach (p >= k+2).
-Verification turns such a prime into a skipped row carrying the reason;
-fit and scan drop it.
+denominator of the series, the scale, or a known coefficient, and primes
+where a template constant has no value, which ``constant_mod_p`` alone
+decides (a discriminant or conductor prime, or one below a one-digit
+constant's reach p >= k+2).  Verification turns such a prime into a skipped
+row carrying the reason; fit and scan drop it.
 
 Fit and scan share one reader: ``_residuals`` (sum minus the known terms)
 and ``_read_coefficient`` (one slot's digits -> CRT -> rational).
@@ -84,7 +85,8 @@ def is_structural_zero(constant: TemplateConstant) -> bool:
 def constant_mod_p(constant: TemplateConstant, p: int) -> int:
     """The constant's value at p: exactly +-1/1 for One/Kron (valid modulo
     every power of p), and the single mod-p digit for ZetaP/LQp (which is
-    all that exists of them)."""
+    all that exists of them).  Where it has none it raises BadPrime or
+    PrecisionUnavailable, and ``inadmissible`` reports the message."""
     if isinstance(constant, One):
         return 1
     if isinstance(constant, Kron):
@@ -148,31 +150,14 @@ class ExpansionTemplate:
     def fully_known(self) -> bool:
         return all(t.known for t in self.terms)
 
-    def with_coefficients(self, values: Sequence[Fraction]) -> "ExpansionTemplate":
-        """Fill the unknown slots, in order, with the given rationals."""
-        values = list(values)
-        new_terms = []
-        for t in self.terms:
-            if t.known:
-                new_terms.append(t)
-            else:
-                new_terms.append(replace(t, coefficient=Fraction(values.pop(0))))
-        if values:
-            raise ValueError("more coefficients than unknown slots")
-        return replace(self, terms=tuple(new_terms))
-
 
 def _constant_inadmissible(constant: TemplateConstant, p: int) -> str:
-    """Why the constant has no value at p, or "": p divides its discriminant,
-    or p < k+2 for a one-digit constant that is not a structural zero."""
-    if isinstance(constant, One):
-        return ""
-    if constant.disc % p == 0:
-        if isinstance(constant, Kron):
-            return f"p={p} divides the discriminant {constant.disc}"
-        return f"p={p} divides the conductor {abs(constant.disc)}"
-    if isinstance(constant, ONE_DIGIT) and p < constant.k + 2 and not is_structural_zero(constant):
-        return f"L_p({constant.k}) mod {p} needs p >= {constant.k + 2}"
+    """Why the constant has no value at p, or "": the message of the BadPrime
+    or PrecisionUnavailable that ``constant_mod_p`` raises there."""
+    try:
+        constant_mod_p(constant, p)
+    except (BadPrime, PrecisionUnavailable) as exc:
+        return str(exc)
     return ""
 
 
@@ -181,9 +166,9 @@ def inadmissible(spec: SeriesSpec, tpl: ExpansionTemplate, p: int) -> str:
     read at the prime p, or "" when p is admissible.  In order: p divides a
     structural denominator of the series, the scale's numerator or
     denominator, or a known coefficient's denominator; or a template constant
-    has no value at p (``_constant_inadmissible``).  The one statement of the
-    rule: verification skips such a prime with this reason, fitting and
-    scanning drop it, and the command line never passes it."""
+    has no value at p, in the words of its evaluator (``constant_mod_p``).
+    The one statement of the rule: verification skips such a prime with this
+    reason, and fitting and scanning drop it."""
     if spec.is_bad_prime(p):
         return f"p={p} divides a structural denominator of {spec.name}"
     if tpl.scale.numerator % p == 0 or tpl.scale.denominator % p == 0:
@@ -332,8 +317,8 @@ def _read_coefficient(
 
     Returns (r, or None when no bounded rational fits; primes used).  A
     residual that p^e does not divide raises InconsistentResidues.  A prime
-    where the constant has no value (``_constant_inadmissible``) or is not a
-    unit is skipped; when none is left, PrecisionUnavailable.
+    where ``constant_mod_p`` finds no value or no unit is skipped; when none
+    is left, PrecisionUnavailable.
     """
     classes = []
     for p, r in residuals.items():
@@ -341,9 +326,10 @@ def _read_coefficient(
             raise InconsistentResidues(
                 f"residual at p={p} has valuation {valuation(r, p)} below the slot p^{e}"
             )
-        if _constant_inadmissible(constant, p):
+        try:
+            c = constant_mod_p(constant, p)
+        except (BadPrime, PrecisionUnavailable):
             continue
-        c = constant_mod_p(constant, p)
         if c % p == 0:
             continue  # this prime carries no information for the coefficient
         pw = p**w
@@ -411,8 +397,8 @@ def fit_unknowns(
         n_held = max(1, round(HELD_OUT_FRACTION * len(primes)))
         fit_primes, held_out = primes[:-n_held], primes[-n_held:]
         residual = _residuals(spec, work, fit_primes, M, lhs)
-        recovered: list[Fraction] = []
-        for term, w in zip(work.terms, windows):
+        terms, recovered = list(work.terms), []
+        for i, (term, w) in enumerate(zip(work.terms, windows)):
             if term.known:
                 continue
             value, used = _read_coefficient(term.constant, term.exponent, w, residual)
@@ -424,7 +410,7 @@ def fit_unknowns(
             if any(value.denominator % p == 0 for p in primes):
                 break
             recovered.append(value)
-            term = replace(term, coefficient=value)
+            terms[i] = term = replace(term, coefficient=value)
             for p in fit_primes:
                 residual[p] = (residual[p] - _term_mod(term, p, M)) % p**M
         else:
@@ -438,7 +424,7 @@ def fit_unknowns(
                 f"template does not explain the residue at p={p} modulo p^{M}"
             )
 
-    completed = work.with_coefficients(recovered)
+    completed = replace(work, terms=tuple(terms))
     return FitResult(
         coefficients=tuple(recovered),
         template=completed,

@@ -15,8 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import NegativeValuationSum, NonCoprimeModuli, PrecisionUnavailable
 
-Rational = Fraction
-
 
 def valuation(x: int | Fraction, p: int) -> int:
     """p-adic valuation of a nonzero integer or rational."""

@@ -123,9 +123,8 @@ class TruncatedSeries:
         return cls((mpf(value),) + (mp.zero,) * K, mp.zero)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[mpf], error_bound: mpf = None) -> "TruncatedSeries":
-        return cls(tuple(mpf(c) for c in coeffs),
-                   mp.zero if error_bound is None else mpf(error_bound))
+    def from_coeffs(cls, coeffs: Sequence[mpf]) -> "TruncatedSeries":
+        return cls(tuple(mpf(c) for c in coeffs), mp.zero)
 
 
 def _poly_shift(poly: Sequence[Fraction], n: int, K: int) -> list[Fraction]:

@@ -163,9 +163,11 @@ def zeta_p_mod_p(k: int, p: int) -> int:
 def L_p_mod_p(chi: QuadCharacter, k: int, p: int) -> int:
     """The single known digit of L_{D,p}(k): 0 when ``parity_zero(D, k)``,
     else L(1+k-p, chi) = -B_{m,chi}/m mod p with m = p-k, B_{m,chi} from a
-    power sum over a <= f p.
+    power sum over a <= f p.  BadPrime at every prime dividing the conductor
+    (2 and 3 included), else PrecisionUnavailable below the reach p >= k+2;
+    ``congruence.inadmissible`` reports these messages as its reasons.
     """
-    if p >= 5 and chi.conductor % p == 0:
+    if chi.conductor % p == 0:
         raise BadPrime(f"p={p} divides the conductor {chi.conductor}")
     check_L_p(chi, k)
     if parity_zero(chi.D, k):

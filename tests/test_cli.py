@@ -1,9 +1,11 @@
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from padic_rama import cli, congruence
 from padic_rama.cli import (
     EXIT_MATH_FAIL,
     EXIT_OK,
@@ -22,6 +24,7 @@ from padic_rama.cli import (
 from padic_rama.congruence import Kron, LQp, ZetaP, constant_mod_p
 from padic_rama.constants import ONE
 from padic_rama.errors import InvariantViolation, SchemaError
+from padic_rama.exactnum import primes_in_range
 
 FIXDIR = Path(resolve_input("eq2")).parent
 
@@ -337,6 +340,29 @@ def test_fit_and_scan_read_the_same_coefficient(tmp_path):
     assert {c["constant"]: c["primes_used"] for c in scan["candidates"]} == {
         name: len(used) for name, used in units.items()}
     assert len(units["ZetaP(k=5)"]) < len(primes)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--spec", "eq6", "--template", "eq8-unknowns"],
+    ["scan", "--spec", "eq6", "--template",
+     str(Path(__file__).parent / "fixtures" / "seed-7.json"), "--candidates", "zeta_p:3"],
+], ids=lambda argv: argv[0])
+def test_fit_and_scan_judge_each_prime_once(monkeypatch, tmp_path, argv):
+    # the command line passes the raw range; the library alone filters it
+    # (2 and 3 are inadmissible here, and fit's held-out check judges the
+    # completed template, a different claim, once at each held-out prime)
+    calls, judge = Counter(), congruence.inadmissible
+
+    def counted(spec, tpl, p):
+        calls[tpl, p] += 1
+        return judge(spec, tpl, p)
+
+    monkeypatch.setattr(cli, "inadmissible", counted)
+    monkeypatch.setattr(congruence, "inadmissible", counted)
+    _json_run([*argv, "--primes", "2..100"], tmp_path)
+    given = parse_template(resolve_input(argv[4]))
+    assert sorted(p for tpl, p in calls if tpl == given) == primes_in_range(2, 100)
+    assert set(calls.values()) == {1}
 
 
 def test_no_defect_reads_candidates_like_found(tmp_path, capsys):

@@ -11,6 +11,7 @@ from padic_rama.congruence import (
     LQp,
     TemplateTerm,
     ZetaP,
+    _constant_inadmissible,
     constant_mod_p,
     fit_unknowns,
     inadmissible,
@@ -21,6 +22,7 @@ from padic_rama.congruence import (
 )
 from padic_rama.constants import ONE
 from padic_rama.errors import (
+    BadPrime,
     InconsistentResidues,
     InvariantViolation,
     PrecisionUnavailable,
@@ -436,6 +438,29 @@ class TestAdmissibility:
             with pytest.raises(InvariantViolation,
                                match="scanning needs at least one, got 0"):
                 scan_next_term(series["eq6"], t, primes, [ZetaP(3)], max_power=5)
+
+    def test_constant_reasons_are_the_evaluators(self):
+        # no rule is stated twice: a constant is rejected at p exactly when
+        # constant_mod_p raises there, in its words -- at 2 and 3 as well
+        grid = [ONE, *(Kron(D) for D in (-23, -8, -4, -3, 5, 8, 12)),
+                *(ZetaP(k) for k in range(2, 7))]
+        for D in (-24, -23, -8, -4, -3, 5, 8, 12, 13):
+            for k in range(1, 7):
+                try:
+                    grid.append(LQp(D, k))
+                except PrecisionUnavailable:
+                    pass  # L_p(1) of an even character has no digit anywhere
+        assert len(grid) == 63
+        for c in grid:
+            for p in primes_in_range(2, 59):
+                try:
+                    constant_mod_p(c, p)
+                    raised = ""
+                except (BadPrime, PrecisionUnavailable) as exc:
+                    raised = str(exc)
+                assert _constant_inadmissible(c, p) == raised, (c, p)
+        assert _constant_inadmissible(LQp(-4, 3), 2) == "p=2 divides the conductor 4"
+        assert _constant_inadmissible(LQp(-3, 2), 3) == "p=3 divides the conductor 3"
 
     @pytest.mark.parametrize("tname", ["eq5", "eq8", "eq11", "eq12", "eq14", "eq16"])
     @pytest.mark.parametrize("sname", ["eq2", "eq6", "eq9", "gourevitch", "eq15"])

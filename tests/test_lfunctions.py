@@ -246,6 +246,10 @@ class TestLPModP:
     def test_errors(self):
         with pytest.raises(BadPrime):
             L_p_mod_p(CHI23, 2, 23)
+        with pytest.raises(BadPrime):  # 2 and 3 are conductor primes too
+            L_p_mod_p(CHI4, 2, 2)
+        with pytest.raises(BadPrime):
+            L_p_mod_p(QuadCharacter(-3), 2, 3)
         with pytest.raises(PrecisionUnavailable):
             L_p_mod_p(CHI4, 4, 5)  # p >= k+2 required
         with pytest.raises(PrecisionUnavailable):
