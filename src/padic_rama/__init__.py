@@ -2,7 +2,12 @@
 truncated sums, prime-power congruence templates, high-precision x-shift
 expansions, and recovery of unknown rational coefficients from multi-prime
 residue data.
+
+The ``expansion`` names load on first use, and with them mpmath, so that
+importing the package for its p-adic half loads neither.
 """
+
+from typing import TYPE_CHECKING
 
 from .constants import ONE, ConstantTag, Lquad, One, PiPower, SqrtDisc, Zeta, constant_value
 from .congruence import (
@@ -30,14 +35,6 @@ from .exactnum import (
     reduce_rational,
     valuation,
 )
-from .expansion import (
-    ExpansionClaim,
-    ExpansionReport,
-    TruncatedSeries,
-    recognize,
-    shifted_expansion,
-    verify_expansion,
-)
 from .lfunctions import (
     L_nonpositive,
     L_p_mod_p,
@@ -60,4 +57,25 @@ from .series import (
     truncated_sums_mod,
 )
 
+if TYPE_CHECKING:
+    from .expansion import (
+        ExpansionClaim,
+        ExpansionReport,
+        TruncatedSeries,
+        recognize,
+        shifted_expansion,
+        verify_expansion,
+    )
+
 __version__ = "0.1.0"
+
+_EXPANSION = ("ExpansionClaim", "ExpansionReport", "TruncatedSeries", "recognize",
+              "shifted_expansion", "verify_expansion")
+
+
+def __getattr__(name: str):
+    if name in _EXPANSION:
+        from . import expansion
+
+        return getattr(expansion, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

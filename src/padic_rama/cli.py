@@ -4,22 +4,22 @@ fitting and next-term scanning, with deterministic machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 a mathematical claim failed, 2 usage or
 configuration error (an unreadable path included), 3 precision unavailable.
+
+The p-adic commands (congruence, fit, scan) load neither mpmath nor the
+``expansion`` and ``lattice`` layers: ``_archimedean`` binds the names that
+sum-check, expand and claims files use on first need.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .congruence import (
     ExpansionTemplate,
@@ -42,8 +42,12 @@ from .errors import (
     UnknownCoefficient,
 )
 from .exactnum import primes_in_range
-from .expansion import ExpansionClaim, shifted_expansion, verify_expansion
 from .series import ClosedForm, SeriesSpec, numeric_sum, rhs_value
+
+if TYPE_CHECKING:
+    from mpmath import mp, mpf
+
+    from .expansion import ExpansionClaim, shifted_expansion, verify_expansion
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -56,6 +60,27 @@ MOD_POWER = (1, 32)      # --max-power, a template's mod_power
 ORDER = (0, 16)          # --order, a claims file's order
 PRECISION = (64, 65536)  # --prec, in bits
 PRIME_MAX = 10**6        # top of --primes; the prime sieve allocates that many bytes
+
+_ARCHIMEDEAN = ("mp", "mpf", "ExpansionClaim", "shifted_expansion", "verify_expansion")
+
+
+def _archimedean() -> None:
+    """Bind the names in ``_ARCHIMEDEAN``, importing mpmath and ``expansion``.
+    A name already bound is kept, so a wrapper installed around one (by a
+    tracer, before ``main`` runs) stays the one the drivers call."""
+    from mpmath import mp, mpf
+
+    from .expansion import ExpansionClaim, shifted_expansion, verify_expansion
+
+    for name in _ARCHIMEDEAN:
+        globals().setdefault(name, locals()[name])
+
+
+def __getattr__(name: str):
+    if name in _ARCHIMEDEAN:
+        _archimedean()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +302,7 @@ class ClaimsFile:
 
 
 def parse_claims(path: Path | str) -> ClaimsFile:
+    _archimedean()
     path = Path(path)
     data = _load_json(path)
     where = path.name
@@ -351,6 +377,7 @@ def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate, lo: int, hi: int
 # payload, text report)
 
 def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
+    _archimedean()
     spec = args.spec
     bits = args.prec
     value, bound = numeric_sum(spec, bits)
@@ -377,6 +404,7 @@ def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
+    _archimedean()
     spec = args.spec
     bits = args.prec
     if args.verify is None:
@@ -470,6 +498,9 @@ def _run_scan(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 def _csv(rows: list[dict]) -> str:
     """A congruence report's rows as csv."""
+    import csv
+    import io
+
     columns = ["p", "lhs", "rhs", "pass", "defect_valuation"]
     buf = io.StringIO()
     writer = csv.writer(buf)

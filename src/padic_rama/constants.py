@@ -6,7 +6,8 @@ mpmath supplies the arbitrary-precision substrate (pi, Hurwitz zeta,
 digamma, sqrt); the quadratic L-values are assembled here from the
 conductor-f Hurwitz decomposition L(k, chi) = f^-k sum_a chi(a) zeta(k, a/f),
 with the k = 1 column handled through digamma since the Hurwitz poles cancel
-against sum chi(a) = 0.
+against sum chi(a) = 0.  The functions that compute with mpmath import it
+when called: the p-adic side, which uses only the tag classes, never loads it.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Union
-
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING, Union
 
 from .lfunctions import QuadCharacter
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 _GUARD_BITS = 32
 
@@ -83,6 +85,8 @@ ONE = One()
 
 def to_mpf(q: Fraction | int) -> mpf:
     """Exact rational -> mpf at the ambient working precision."""
+    from mpmath import mpf
+
     q = Fraction(q)
     return mpf(q.numerator) / q.denominator
 
@@ -92,6 +96,8 @@ def to_decimal(x: mpf, digits: int) -> str:
     4*digits + 64 bits: mpmath turns a tiny number with a mantissa of more
     than about 14300 bits into an integer past Python's 4300-digit str limit.
     """
+    from mpmath import mp, mpf
+
     with mp.workprec(4 * digits + 64):
         return mp.nstr(mpf(x), digits)
 
@@ -102,11 +108,15 @@ def constant_value(tag: ConstantTag, precision_bits: int) -> mpf:
     (tag, precision)."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
+    from mpmath import mp
+
     with mp.workprec(precision_bits + _GUARD_BITS):
         return +_evaluate(tag)
 
 
 def _evaluate(tag: ConstantTag) -> mpf:
+    from mpmath import mp
+
     if isinstance(tag, One):
         return mp.one
     if isinstance(tag, PiPower):
@@ -121,6 +131,8 @@ def _evaluate(tag: ConstantTag) -> mpf:
 
 
 def _l_value(chi: QuadCharacter, k: int) -> mpf:
+    from mpmath import mp, mpf
+
     f = chi.conductor
     total = mp.zero
     for a in range(1, f + 1):

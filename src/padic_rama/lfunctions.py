@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-import mpmath
-
 from .errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from .exactnum import kronecker, prime_factors
 
@@ -28,7 +26,9 @@ def bernoulli_exact(k: int) -> Fraction:
     """B_k as an exact rational (mpmath.bernfrac)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return Fraction(*mpmath.bernfrac(k))
+    from mpmath import bernfrac
+
+    return Fraction(*bernfrac(k))
 
 
 def bernoulli_all_mod_p(p: int) -> tuple[int, ...]:

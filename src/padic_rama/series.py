@@ -12,14 +12,14 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
-
-from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .constants import PiPower, SqrtDisc, constant_value, to_mpf
 from .errors import BadPrime, InvariantViolation, NegativeValuationSum
 from .exactnum import valuation
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,36 @@ def _fdiv(x: int, y: int) -> mpf:
     """``mp.fdiv(x, y)`` for integers x and y > 0: the same correctly
     rounded mpf at the working precision.  mpmath strips trailing zero bits
     from each integer a byte at a time and then divides out every bit by
-    which x is longer than y; here the quotient gets prec + 5 bits and a
-    sticky bit, which round the same way."""
+    which x is longer than y; here the quotient q = floor(v) of
+    v = |x| 2^k / y gets prec + 5 bits and a sticky bit (v > q), which round
+    the same way.
+
+    q is read from the leading bits: with the low s bits cut from |x| 2^k and
+    from y, leaving xh (2 (prec + 5) + 64 bits) and yh (prec + 69 bits), v
+    lies strictly between xh / (yh + 1) and (xh + 1) / yh, an interval about
+    2^-62 wide.  When both ends have the same floor, that floor is q and
+    v > q, so the sticky bit is set.  Only when an integer falls in the
+    interval (an exact quotient, or one within about 2^-62 of an integer)
+    is the quotient taken by an exact ``divmod``.
+    """
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp, round_nearest
+
     k = mp.prec + 5 - x.bit_length() + y.bit_length()
+
+    def rounded(man: int) -> mpf:
+        return mp.make_mpf(from_man_exp(-man if x < 0 else man, -k - 1, mp.prec,
+                                        round_nearest))
+
+    s = y.bit_length() - mp.prec - 69
+    if s > 0:
+        xh = abs(x) << (k - s) if k >= s else abs(x) >> (s - k)
+        yh = y >> s
+        q = xh // (yh + 1)
+        if xh and q == (xh + 1) // yh:
+            return rounded(2 * q + 1)
     q, r = divmod(abs(x) << k, y) if k >= 0 else divmod(abs(x), y << -k)
-    man = 2 * q + (r != 0)
-    return mp.make_mpf(from_man_exp(-man if x < 0 else man, -k - 1, mp.prec, round_nearest))
+    return rounded(2 * q + (r != 0))
 
 
 def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
@@ -308,6 +332,8 @@ def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
+    from mpmath import mp
+
     num, den, a, b, c = factors = _integer_factors(spec)
     base = spec.base
     N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
@@ -348,6 +374,8 @@ def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
 
 def rhs_value(spec: SeriesSpec, precision_bits: int) -> mpf:
     """The claimed closed form, assembled from the constant engine."""
+    from mpmath import mp
+
     with mp.workprec(precision_bits + 48):
         value = to_mpf(spec.rhs.coefficient)
         if spec.rhs.sqrt_disc > 1:

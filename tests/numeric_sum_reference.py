@@ -1,4 +1,5 @@
-"""Reference ``numeric_sum`` for the tests: the term-by-term loop.
+"""Reference ``numeric_sum`` for the tests: the term-by-term loop, and the
+exact division that ``series._fdiv`` reads from leading bits.
 
 It steps the integer recurrence one term at a time (add term n:
 N <- N*b(n) + a(n)*H, D <- D*b(n); advance the ratio: N, D <- N, D times
@@ -13,8 +14,19 @@ import itertools
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from padic_rama.series import SeriesSpec, _integer_factors
+
+
+def exact_fdiv(x: int, y: int) -> mpf:
+    """``mp.fdiv(x, y)`` for integers x and y > 0 from the exact quotient:
+    q = floor(|x| 2^k / y) with prec + 5 bits, and a sticky bit for a nonzero
+    remainder, rounded once."""
+    k = mp.prec + 5 - x.bit_length() + y.bit_length()
+    q, r = divmod(abs(x) << k, y) if k >= 0 else divmod(abs(x), y << -k)
+    man = 2 * q + (r != 0)
+    return mp.make_mpf(from_man_exp(-man if x < 0 else man, -k - 1, mp.prec, round_nearest))
 
 
 def partial_sums(factors):

@@ -23,7 +23,7 @@ from padic_rama.series import (
     truncated_sums_mod,
 )
 
-from numeric_sum_reference import reference_numeric_sum
+from numeric_sum_reference import exact_fdiv, reference_numeric_sum
 
 F = Fraction
 
@@ -329,6 +329,29 @@ class TestNumericSumAgainstReference:
         for y in (y, y << 200, y * 3**50):
             with mp.workprec(prec):
                 assert _fdiv(x, y)._mpf_ == mp.fdiv(x, y)._mpf_
+
+    @given(st.integers(-2**6000, 2**6000), st.integers(2**500, 2**3000),
+           st.integers(53, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_leading_bits_match_the_exact_quotient(self, x, y, prec):
+        """y above 2^(prec + 69): the quotient is read from leading bits."""
+        with mp.workprec(prec):
+            assert _fdiv(x, y)._mpf_ == exact_fdiv(x, y)._mpf_
+
+    @given(st.integers(1, 2**600), st.integers(2**500, 2**3000),
+           st.integers(53, 400), st.integers(0, 300), st.sampled_from([-1, 1]),
+           st.sampled_from(["exact", "halfway"]), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_and_halfway_quotients(self, m, y, prec, shift, sign, kind, nudge):
+        """x / y an integer, or halfway between two prec-bit numbers, give or
+        take 1/y: the leading bits cannot decide these, so the exact route
+        must be taken, with its sticky bit."""
+        if kind == "halfway":
+            m = (m % 2**(prec - 1) | 2**(prec - 1)) * 2 + 1  # prec + 1 bits, the last set
+        x = sign * ((m * y << shift) + nudge)
+        with mp.workprec(prec):
+            assert _fdiv(x, y)._mpf_ == exact_fdiv(x, y)._mpf_
+            assert _fdiv(x, y << shift)._mpf_ == exact_fdiv(x, y << shift)._mpf_
 
 
 class TestRhsValue:

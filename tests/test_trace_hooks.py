@@ -7,11 +7,16 @@ not only under ``perfbench/run.py``."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACED = PERFBENCH / "traced.py"
 IMPORTERS = [PERFBENCH / "run.py", PERFBENCH / "recognize_targets.py"]
 
@@ -50,3 +55,37 @@ def test_import_reader_finds_the_benchmark_imports():
 @pytest.mark.parametrize("module, name", _imported_names())
 def test_imported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+# (name, parent index) of every span, in start order.
+PARSE = [("cli.parse", None)] * 2
+SPAN_TREES = {
+    "expand --spec eq2 --verify eq3-claims --prec 512": [
+        *PARSE, *PARSE,
+        ("expansion.verify_expansion", None),
+        ("expansion.shifted_expansion", 4),
+        *[("constants.constant_value", 4)] * 3,
+    ],
+    "expand --spec eq2 --order 3 --prec 256": [
+        *PARSE, ("expansion.shifted_expansion", None),
+    ],
+    "sum-check --spec eq6 --prec 256": [*PARSE, ("series.numeric_sum", None)],
+    "sum-check --spec eq2 --prec 128": [
+        *PARSE, ("series.numeric_sum", None), ("constants.constant_value", None),
+    ],
+}
+
+
+@pytest.mark.parametrize("command, tree", SPAN_TREES.items(), ids=SPAN_TREES.keys())
+def test_traced_span_tree(command, tree, tmp_path):
+    """The recorder's wrappers on ``cli.shifted_expansion`` and the other
+    names the CLI binds on first use are the ones the drivers call: binding
+    them must not replace a wrapper installed before ``main`` runs."""
+    spans = tmp_path / "spans.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "traced.py"), str(spans),
+                           "cli", *command.split()], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = spans.read_text().splitlines()
+    assert [(s["name"], s["parent"]) for s in map(json.loads, lines)] == tree
