@@ -10,8 +10,8 @@ like (the report records the exact p-adic depth at which it breaks).
 from dataclasses import replace
 from fractions import Fraction
 
-from padic_rama import verify_congruence
-from padic_rama.cli import admissible_primes, parse_series, parse_template, resolve_input
+from padic_rama import admissible_primes, primes_in_range, verify_congruence
+from padic_rama.cli import parse_series, parse_template, resolve_input
 
 PAIRINGS = [
     ("eq2", "eq5", 5, 199),
@@ -24,7 +24,7 @@ PAIRINGS = [
 for sname, tname, lo, hi in PAIRINGS:
     spec = parse_series(resolve_input(sname))
     tpl = parse_template(resolve_input(tname))
-    primes = admissible_primes(spec, tpl, lo, hi)
+    primes = admissible_primes(spec, tpl, primes_in_range(lo, hi))
     report = verify_congruence(spec, tpl, primes)
     c = report.counts
     print(f"{sname:10s} vs {tname:5s}  mod p^{tpl.modulus_power}: "

@@ -8,8 +8,8 @@ residue back into the exact fraction.  The top 20% of the prime range is
 withheld and used to re-verify the completed template.
 """
 
-from padic_rama import fit_unknowns, verify_congruence
-from padic_rama.cli import admissible_primes, parse_series, parse_template, resolve_input
+from padic_rama import admissible_primes, fit_unknowns, primes_in_range, verify_congruence
+from padic_rama.cli import parse_series, parse_template, resolve_input
 
 CASES = [
     ("eq2", "eq5-unknowns", 5, 97),
@@ -22,8 +22,7 @@ CASES = [
 for sname, tname, lo, hi in CASES:
     spec = parse_series(resolve_input(sname))
     tpl = parse_template(resolve_input(tname))
-    primes = admissible_primes(spec, tpl, lo, hi)
-    res = fit_unknowns(spec, tpl, primes)
+    res = fit_unknowns(spec, tpl, primes_in_range(lo, hi))  # drops inadmissible primes
     coeffs = ", ".join(str(c) for c in res.coefficients)
     print(f"{sname:10s} {tname:14s} -> ({coeffs})  "
           f"held-out {len(res.held_out_primes)} primes: "
@@ -33,7 +32,7 @@ for sname, tname, lo, hi in CASES:
 # at p^3 modulo p^4; the residue data disagrees with that pairing:
 spec = parse_series(resolve_input("eq9"))
 stated = parse_template(resolve_input("eq12"))
-primes = admissible_primes(spec, stated, 7, 199)
+primes = admissible_primes(spec, stated, primes_in_range(7, 199))
 report = verify_congruence(spec, stated, primes)
 print(f"\neq12 as shipped (L-term at p^3, mod p^4): "
       f"{report.counts['fail']} of {len(primes)} primes fail")

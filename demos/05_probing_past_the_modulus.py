@@ -14,8 +14,8 @@ relation.
 
 from fractions import Fraction
 
-from padic_rama import ExpansionTemplate, TemplateTerm, scan_next_term
-from padic_rama.cli import admissible_primes, parse_series, parse_template, resolve_input
+from padic_rama import ExpansionTemplate, TemplateTerm, primes_in_range, scan_next_term
+from padic_rama.cli import parse_series, parse_template, resolve_input
 from padic_rama.congruence import ZetaP
 from padic_rama.constants import ONE
 
@@ -23,8 +23,8 @@ from padic_rama.constants import ONE
 # scan find where the next term sits and what multiplies it.
 spec = parse_series(resolve_input("eq6"))
 seed = ExpansionTemplate(terms=(TemplateTerm(0, ONE, Fraction(7)),), modulus_power=1)
-primes = admissible_primes(spec, seed, 5, 120)
-report = scan_next_term(spec, seed, primes, [ZetaP(3), ZetaP(5), ONE], max_power=5)
+report = scan_next_term(spec, seed, primes_in_range(5, 120), [ZetaP(3), ZetaP(5), ONE],
+                        max_power=5)
 print(f"seed template '7' for {spec.name}: outcome={report.outcome}, "
       f"first defect at p^{report.defect_exponent}")
 for cand in report.candidates:
@@ -35,7 +35,6 @@ print("the zeta_p(3) slot carries -105/2, matching the shipped eq8 template\n")
 # A template that ends in a one-digit constant caps its own probing depth.
 spec2 = parse_series(resolve_input("eq2"))
 tpl5 = parse_template(resolve_input("eq5"))
-report = scan_next_term(spec2, tpl5, admissible_primes(spec2, tpl5, 5, 60),
-                        [ZetaP(5), ONE])
+report = scan_next_term(spec2, tpl5, primes_in_range(5, 60), [ZetaP(5), ONE])
 print(f"probing past eq5: outcome={report.outcome}")
 print(f"  {report.note}")

@@ -19,6 +19,7 @@ from .congruence import (
     ScanReport,
     TemplateTerm,
     ZetaP,
+    admissible_primes,
     fit_unknowns,
     inadmissible,
     scan_next_term,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
@@ -27,8 +28,8 @@ from .congruence import (
     LQp,
     TemplateTerm,
     ZetaP,
+    admissible_primes,
     fit_unknowns,
-    inadmissible,
     scan_next_term,
     verify_congruence,
 )
@@ -87,11 +88,15 @@ def __getattr__(name: str):
 # parsing / serialization
 
 def _rational(value, where: str) -> Fraction:
+    """A JSON integer, or "num" or "num/den" with an optional sign (each part
+    within CPython's limit on the digits of an int)."""
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+            raise SchemaError(f'{where}: bad rational {value!r} (expected "num" or "num/den")')
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -139,6 +144,9 @@ def _load_json(path: Path) -> dict:
         raise SchemaError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past CPython's digit limit, or nesting past its recursion limit
+        raise SchemaError(f"{path}: {str(exc).partition(';')[0]}") from None
     except OSError as exc:
         raise SchemaError(f"{path}: {exc.strerror}") from None
     if not isinstance(data, dict):
@@ -366,12 +374,6 @@ def parse_prime_range(text: str) -> tuple[int, int]:
     return lo, _bounded(hi, "--primes upper end", lo, PRIME_MAX)
 
 
-def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate, lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi] that ``congruence.inadmissible`` accepts: the
-    ones the ``congruence`` command verifies (fit and scan filter their own)."""
-    return [p for p in primes_in_range(lo, hi) if not inadmissible(spec, tpl, p)]
-
-
 # ---------------------------------------------------------------------------
 # drivers: each takes the parsed options and returns (exit code, JSON
 # payload, text report)
@@ -445,7 +447,7 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
 def _run_congruence(args: argparse.Namespace) -> tuple[int, dict, str]:
     spec, tpl = args.spec, args.template
     lo, hi = args.primes
-    primes = admissible_primes(spec, tpl, lo, hi)
+    primes = admissible_primes(spec, tpl, primes_in_range(lo, hi))
     report = verify_congruence(spec, tpl, primes)
     lines = [f"{spec.name} vs template mod p^{tpl.modulus_power} "
              f"over {len(primes)} primes in [{lo}, {hi}]"]

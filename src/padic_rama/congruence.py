@@ -9,17 +9,19 @@ denominator of the series, the scale, or a known coefficient, and primes
 where a template constant has no value, which ``constant_mod_p`` alone
 decides (a discriminant or conductor prime, or one below a one-digit
 constant's reach p >= k+2).  Verification turns such a prime into a skipped
-row carrying the reason; fit and scan drop it.
+row carrying the reason; fit and scan drop it (``admissible_primes``).
 
-Fit and scan share one reader: ``_residuals`` (sum minus the known terms)
-and ``_read_coefficient`` (one slot's digits -> CRT -> rational).
+Verify, fit and scan each read the sums once (``truncated_sums_mod`` over
+every admitted prime).  ``_report`` builds verification's and fit's held-out
+rows; ``_residuals`` (sum minus the known terms) and ``_read_coefficient``
+(one slot's digits -> CRT -> rational) serve fit and scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Mapping, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .constants import One
 from .errors import (
@@ -178,6 +180,13 @@ def inadmissible(spec: SeriesSpec, tpl: ExpansionTemplate, p: int) -> str:
     return next(filter(None, (_constant_inadmissible(t.constant, p) for t in tpl.terms)), "")
 
 
+def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate,
+                      primes: Iterable[int]) -> list[int]:
+    """The one range filter: the primes given, sorted and distinct, less
+    those ``inadmissible`` rejects."""
+    return sorted(p for p in set(primes) if not inadmissible(spec, tpl, p))
+
+
 def _term_mod(term: TemplateTerm, p: int, k: int) -> int:
     """coefficient * constant(p) * p^exponent modulo p^k, computed at width
     k - exponent: a one-digit constant (zeta_p, L_p) is exact there only when
@@ -254,41 +263,13 @@ class CongruenceReport:
         }
 
 
-LhsProvider = Mapping[int, int]
-
-
-def _lhs_residues(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int],
-                  lhs: Optional[LhsProvider], mod_power: int) -> dict[int, int]:
-    """scale * truncated sum modulo p^mod_power, or ``lhs`` when given."""
-    if lhs is None:
-        return truncated_sums_mod(spec.scaled(tpl.scale), primes, mod_power)
-    return {p: lhs[p] % p**mod_power for p in primes}
-
-
-def verify_congruence(
-    spec: SeriesSpec,
-    tpl: ExpansionTemplate,
-    primes: Sequence[int],
-) -> CongruenceReport:
-    """Compare scale * truncated sum against the template modulo p^M for
-    every prime given.  A prime that ``inadmissible`` rejects becomes a
-    skipped row carrying the reason; an empty prime list raises
-    InvariantViolation.
-    """
-    if not primes:
-        raise InvariantViolation("primes", "verification needs at least one, got 0")
-    return _verify(spec, tpl, primes, None)
-
-
-def _verify(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int],
-            lhs: Optional[LhsProvider]) -> CongruenceReport:
-    """verify_congruence, with ``lhs`` (when given) in place of the sums."""
-    M = tpl.modulus_power
-    reasons = {p: inadmissible(spec, tpl, p) for p in primes}
-    sums = _lhs_residues(spec, tpl, [p for p in primes if not reasons[p]], lhs, M)
+def _report(spec: SeriesSpec, tpl: ExpansionTemplate, sums: Mapping[int, int],
+            primes: Sequence[int], reasons: Mapping[int, str]) -> CongruenceReport:
+    """The rows over ``primes`` in order: a prime with a reason is skipped with
+    it, and any other compares ``sums[p]`` (modulo p^M) with the template."""
     rows = []
     for p in sorted(primes):
-        if reasons[p]:
+        if reasons.get(p):
             rows.append(CongruenceRow(p=p, lhs=None, rhs=None, passed=False,
                                       defect_valuation=None, note=reasons[p]))
             continue
@@ -297,14 +278,29 @@ def _verify(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int],
             p=p, lhs=left, rhs=right, passed=left == right,
             defect_valuation=None if left == right else valuation(left - right, p),
         ))
-    return CongruenceReport(series=spec.name, modulus_power=M, rows=tuple(rows))
+    return CongruenceReport(series=spec.name, modulus_power=tpl.modulus_power,
+                            rows=tuple(rows))
 
 
-def _residuals(spec: SeriesSpec, tpl: ExpansionTemplate, primes: Sequence[int], m: int,
-               lhs: Optional[LhsProvider] = None) -> dict[int, int]:
-    """At each prime, scale * truncated sum (or ``lhs``) minus every known
-    template term, modulo p^m; structural zeros contribute nothing."""
-    sums = _lhs_residues(spec, tpl, primes, lhs, m)
+def verify_congruence(spec: SeriesSpec, tpl: ExpansionTemplate,
+                      primes: Sequence[int]) -> CongruenceReport:
+    """Compare scale * truncated sum against the template modulo p^M for
+    every prime given.  A prime that ``inadmissible`` rejects becomes a
+    skipped row carrying the reason; an empty prime list raises
+    InvariantViolation.
+    """
+    if not primes:
+        raise InvariantViolation("primes", "verification needs at least one, got 0")
+    reasons = {p: inadmissible(spec, tpl, p) for p in primes}
+    admitted = [p for p in primes if not reasons[p]]
+    sums = truncated_sums_mod(spec.scaled(tpl.scale), admitted, tpl.modulus_power)
+    return _report(spec, tpl, sums, primes, reasons)
+
+
+def _residuals(tpl: ExpansionTemplate, sums: Mapping[int, int], primes: Sequence[int],
+               m: int) -> dict[int, int]:
+    """At each prime, the left side in ``sums`` minus every known template
+    term, modulo p^m; structural zeros contribute nothing."""
     known = [t for t in tpl.terms if t.known]
     return {p: (sums[p] - sum(_term_mod(t, p, m) for t in known)) % p**m for p in primes}
 
@@ -355,22 +351,17 @@ class FitResult:
 HELD_OUT_FRACTION = 0.2  # top share of the prime range that re-checks a fit
 
 
-def fit_unknowns(
-    spec: SeriesSpec,
-    tpl: ExpansionTemplate,
-    primes: Sequence[int],
-    *,
-    lhs: Optional[LhsProvider] = None,
-) -> FitResult:
+def fit_unknowns(spec: SeriesSpec, tpl: ExpansionTemplate,
+                 primes: Sequence[int]) -> FitResult:
     """Recover the unknown rational coefficients by digit peeling.
 
     Stage i reads r_i from the residual's digits p^(e_i) .. p^(e_{i+1} - 1)
     at every fit prime (the final stage up to p^(M-1)) with
     ``_read_coefficient``; the exact value is substituted before the next
-    stage.  The completed template is then re-verified on the held-out top
-    HELD_OUT_FRACTION of the prime range.  ``lhs`` optionally overrides the
-    truncated-sum left side (used for synthetic data).  The primes that
-    ``inadmissible`` rejects are dropped first, before the held-out split.
+    stage.  The primes that ``inadmissible`` rejects are dropped first, and
+    the sums are read once at the rest; the refits and the rows of the
+    held-out top HELD_OUT_FRACTION, which check the completed template,
+    reuse them and judge no prime again.
     A template with no unknown, or fewer than two primes left after that or
     after a refit, raise InvariantViolation.
     """
@@ -389,14 +380,15 @@ def fit_unknowns(
     M = work.modulus_power
     exps = [t.exponent for t in work.terms]
     windows = [b - a for a, b in zip(exps, exps[1:])] + [M - exps[-1]]
-    primes = sorted(p for p in set(primes) if not inadmissible(spec, tpl, p))
+    primes = admissible_primes(spec, tpl, primes)
+    sums = truncated_sums_mod(spec.scaled(tpl.scale), primes, M)
     while True:
         if len(primes) < 2:
             raise InvariantViolation(
                 "primes", f"fitting needs at least two, got {len(primes)}")
         n_held = max(1, round(HELD_OUT_FRACTION * len(primes)))
         fit_primes, held_out = primes[:-n_held], primes[-n_held:]
-        residual = _residuals(spec, work, fit_primes, M, lhs)
+        residual = _residuals(work, sums, fit_primes, M)
         terms, recovered = list(work.terms), []
         for i, (term, w) in enumerate(zip(work.terms, windows)):
             if term.known:
@@ -430,7 +422,7 @@ def fit_unknowns(
         template=completed,
         fit_primes=tuple(fit_primes),
         held_out_primes=tuple(held_out),
-        held_out_report=_verify(spec, completed, held_out, lhs),
+        held_out_report=_report(spec, completed, sums, held_out, {}),
     )
 
 
@@ -513,12 +505,13 @@ def scan_next_term(
             ),
         )
 
-    primes = sorted(p for p in set(primes) if not inadmissible(spec, tpl, p))
+    primes = admissible_primes(spec, tpl, primes)
     if not primes:
         raise InvariantViolation("primes", "scanning needs at least one, got 0")
     # all surviving constants are exact (One/Kron), so the template extends
     # to any modulus
-    defects = _residuals(spec, tpl, primes, limit)
+    sums = truncated_sums_mod(spec.scaled(tpl.scale), primes, limit)
+    defects = _residuals(tpl, sums, primes, limit)
     failing = next((p for p in primes if defects[p] % p**M), None)
     if failing is not None:
         raise InconsistentResidues(

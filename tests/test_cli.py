@@ -1,18 +1,23 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 from collections import Counter
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padic_rama import cli, congruence
+from padic_rama import admissible_primes, congruence
 from padic_rama.cli import (
     EXIT_MATH_FAIL,
     EXIT_OK,
     EXIT_PRECISION,
     EXIT_USAGE,
     _candidates,
-    admissible_primes,
     main,
     parse_prime_range,
     parse_series,
@@ -72,13 +77,34 @@ class TestParsing:
         with pytest.raises(SchemaError, match="base"):
             parse_series(bad)
 
-    def test_bad_rational_diagnosed(self, tmp_path):
+    # only "num" and "num/den" with an optional sign: Fraction() itself would
+    # take a decimal or an exponent, and spend seconds expanding 1e4000000
+    @pytest.mark.parametrize("value", ["one half", "1e4000000", "0.5", "1_000", " 1/2",
+                                       "1/-2", "9" * 4301, "1/0"],
+                             ids=lambda v: v if len(v) < 20 else f"{len(v)} digits")
+    def test_bad_rational_diagnosed(self, tmp_path, value):
         data = json.loads((FIXDIR / "eq2.json").read_text())
-        data["multiplier"] = "one half"
+        data["multiplier"] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="multiplier"):
             parse_series(bad)
+
+    # json reads a number past CPython's 4300-digit limit with a ValueError,
+    # which argparse printed as an "invalid value" usage error, and nesting
+    # past the recursion limit with a RecursionError, which escaped main
+    @pytest.mark.parametrize("value, message", [
+        ("-1" + "0" * 5000, "4300 digits"),
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
+    ], ids=["5001 digits", "nested 100000 deep"])
+    def test_unreadable_json_names_the_file(self, tmp_path, capsys, value, message):
+        text = (FIXDIR / "eq2.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"sign": -1', f'"sign": {value}'))
+        assert main(["sum-check", "--spec", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert err.count("\n") == 1
 
     def test_resolve_literal_and_fixture(self, tmp_path):
         assert Path(resolve_input("eq2")).name == "eq2.json"
@@ -97,16 +123,19 @@ class TestParsing:
 
 class TestAdmissiblePrimes:
     def test_eq9_exclusions(self, series, templates):
-        primes = admissible_primes(series["eq9"], templates["eq12"], 5, 40)
+        primes = admissible_primes(series["eq9"], templates["eq12"],
+                                   primes_in_range(5, 40))
         assert primes == [7, 11, 13, 17, 19, 23, 29, 31, 37]  # no 5 (80^3)
 
     def test_eq15_excludes_23(self, series, templates):
-        primes = admissible_primes(series["eq15"], templates["eq16"], 5, 60)
+        primes = admissible_primes(series["eq15"], templates["eq16"],
+                                   primes_in_range(5, 60))
         assert 23 not in primes
         assert 2 not in primes and 3 not in primes  # scale 529/3, params /8
 
     def test_one_digit_constant_floor(self, series, templates):
-        primes = admissible_primes(series["gourevitch"], templates["eq14"], 5, 60)
+        primes = admissible_primes(series["gourevitch"], templates["eq14"],
+                                   primes_in_range(5, 60))
         assert primes[0] == 7  # L at k=4 needs p >= 6
 
 
@@ -261,6 +290,67 @@ def test_malformed_input_exits_usage(tmp_path, capsys, fixture, key, value):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# A shipped series, template or claims file, and the cheap command that reads it.
+MUTATED = {
+    "eq2": ["sum-check", "--spec", "{}", "--prec", "64"],
+    "eq6": ["congruence", "--spec", "{}", "--template", "eq8", "--primes", "5..60"],
+    "eq5": ["congruence", "--spec", "eq2", "--template", "{}", "--primes", "5..60"],
+    "eq8-unknowns": ["fit", "--spec", "eq6", "--template", "{}", "--primes", "5..60"],
+    "eq8": ["scan", "--spec", "eq6", "--template", "{}", "--primes", "5..60",
+            "--candidates", "zeta_p:3,one"],
+    "eq3-claims": ["expand", "--spec", "eq2", "--verify", "{}", "--prec", "64"],
+}
+DELETE, LONG = object(), "<an integer of 5000 digits>"
+MUTANTS = [None, [], {}, "1/0", True, 0.5, {"pi_power": 2}, {"kron": 5}, LONG,
+           "1e4000000", DELETE]
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every field and list item in a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(MUTATED)))
+    data = json.loads((FIXDIR / f"{name}.json").read_text())
+    *parents, key = draw(st.sampled_from(list(_field_paths(data))))
+    node = data
+    for k in parents:
+        node = node[k]
+    value = draw(st.sampled_from(MUTANTS))
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    # json cannot write an int past CPython's digit limit, so splice one in
+    return name, json.dumps(data).replace(json.dumps(LONG), "1" + "0" * 4999)
+
+
+@given(mutations())
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+def test_one_mutated_field_exits_cleanly(mutation):
+    # whatever one field of a shipped file becomes, a command ends with a
+    # documented exit code, and a usage error is a single line
+    name, text = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(text)
+        argv = [str(path) if a == "{}" else a for a in MUTATED[name]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE, EXIT_PRECISION), err
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("case", ["spec is a directory", "spec is UTF-16",
                                   "output is a directory"])
 def test_unreadable_path_exits_usage(tmp_path, capsys, case):
@@ -349,20 +439,42 @@ def test_fit_and_scan_read_the_same_coefficient(tmp_path):
 ], ids=lambda argv: argv[0])
 def test_fit_and_scan_judge_each_prime_once(monkeypatch, tmp_path, argv):
     # the command line passes the raw range; the library alone filters it
-    # (2 and 3 are inadmissible here, and fit's held-out check judges the
-    # completed template, a different claim, once at each held-out prime)
+    # (2 and 3 are inadmissible here), and fit's held-out rows compare the
+    # completed template with the sums without judging any prime again
     calls, judge = Counter(), congruence.inadmissible
 
     def counted(spec, tpl, p):
         calls[tpl, p] += 1
         return judge(spec, tpl, p)
 
-    monkeypatch.setattr(cli, "inadmissible", counted)
     monkeypatch.setattr(congruence, "inadmissible", counted)
     _json_run([*argv, "--primes", "2..100"], tmp_path)
     given = parse_template(resolve_input(argv[4]))
-    assert sorted(p for tpl, p in calls if tpl == given) == primes_in_range(2, 100)
+    assert {tpl for tpl, p in calls} == {given}
+    assert sorted(p for tpl, p in calls) == primes_in_range(2, 100)
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["congruence", "--spec", "eq6", "--template", "eq8"],
+    ["fit", "--spec", "eq6", "--template", "eq8-unknowns"],
+    ["scan", "--spec", "eq6", "--template",
+     str(Path(__file__).parent / "fixtures" / "seed-7.json"), "--candidates", "zeta_p:3"],
+], ids=lambda argv: argv[0])
+def test_each_command_reads_the_sums_once(monkeypatch, tmp_path, argv):
+    # one truncated_sums_mod call over every admitted prime of the command:
+    # fit's refit passes and held-out rows reuse it
+    calls, read = [], congruence.truncated_sums_mod
+
+    def counted(spec, primes, m):
+        calls.append(sorted(primes))
+        return read(spec, primes, m)
+
+    monkeypatch.setattr(congruence, "truncated_sums_mod", counted)
+    _json_run([*argv, "--primes", "2..100"], tmp_path)
+    given = parse_template(resolve_input(argv[4]))
+    spec = parse_series(resolve_input(argv[2]))
+    assert calls == [admissible_primes(spec, given, primes_in_range(2, 100))]
 
 
 def test_no_defect_reads_candidates_like_found(tmp_path, capsys):

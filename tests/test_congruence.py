@@ -2,9 +2,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from padic_rama import admissible_primes, congruence
 from padic_rama.congruence import (
     ExpansionTemplate,
     Kron,
@@ -32,7 +34,7 @@ from padic_rama.errors import (
 from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.lfunctions import L_nonpositive, QuadCharacter
 from padic_rama.series import ClosedForm, SeriesSpec
-from padic_rama.cli import admissible_primes, parse_template
+from padic_rama.cli import parse_template
 
 SEED_7 = Path(__file__).parent / "fixtures" / "seed-7.json"
 
@@ -58,6 +60,16 @@ ZERO_SPEC = SeriesSpec(
     multiplier=F(1),
     rhs=ClosedForm(F(0)),
 )
+
+
+def fit_synthetic(t, primes, truth):
+    """``fit_unknowns`` on ZERO_SPEC, with ``truth[p]`` standing in for the
+    truncated sum at each prime it reads."""
+    def sums(spec, ps, m):
+        return {p: truth[p] % p**m for p in ps}
+
+    with mock.patch.object(congruence, "truncated_sums_mod", sums):
+        return fit_unknowns(ZERO_SPEC, t, primes)
 
 
 class TestStructuralZeros:
@@ -216,15 +228,17 @@ class TestVerifyCongruence:
 
 class TestFitUnknowns:
     def test_eq5_recovery(self, series, templates):
-        primes = admissible_primes(series["eq2"], templates["eq5-unknowns"], 5, 97)
+        primes = admissible_primes(series["eq2"], templates["eq5-unknowns"],
+                                   primes_in_range(5, 97))
         res = fit_unknowns(series["eq2"], templates["eq5-unknowns"], primes)
         assert res.coefficients == (F(1), F(-7, 2))
         assert res.held_out_ok
 
     def test_duality_on_disjoint_primes(self, series, templates):
-        fit_primes = admissible_primes(series["eq6"], templates["eq8-unknowns"], 5, 97)
+        fit_primes = admissible_primes(series["eq6"], templates["eq8-unknowns"],
+                                       primes_in_range(5, 97))
         res = fit_unknowns(series["eq6"], templates["eq8-unknowns"], fit_primes)
-        others = admissible_primes(series["eq6"], res.template, 101, 181)
+        others = admissible_primes(series["eq6"], res.template, primes_in_range(101, 181))
         assert set(others).isdisjoint(res.fit_primes)
         report = verify_congruence(series["eq6"], res.template, others)
         assert report.all_pass
@@ -256,20 +270,20 @@ class TestFitUnknowns:
                 planted,
                 terms=tuple(replace(t, coefficient=None) for t in planted.terms),
             )
-            res = fit_unknowns(ZERO_SPEC, unknown, primes, lhs=truth)
+            res = fit_synthetic(unknown, primes, truth)
             assert res.coefficients == tuple(t[2] for t in terms), (trial, terms)
             assert res.held_out_ok
 
     def test_structural_zero_unknown_rejected(self):
         t = tpl([(0, ONE, None), (3, ZetaP(2), None)], 4)
         with pytest.raises(InvariantViolation):
-            fit_unknowns(ZERO_SPEC, t, [7, 11, 13], lhs={p: 0 for p in (7, 11, 13)})
+            fit_synthetic(t, [7, 11, 13], {p: 0 for p in (7, 11, 13)})
 
     def test_known_structural_zero_dropped(self):
         # a known parity-zero term contributes nothing and does not block
         t = tpl([(0, ONE, None), (3, ZetaP(2), F(5))], 4)
         truth = {p: 9 % p**4 for p in (7, 11, 13, 17)}
-        res = fit_unknowns(ZERO_SPEC, t, [7, 11, 13, 17], lhs=truth)
+        res = fit_synthetic(t, [7, 11, 13, 17], truth)
         assert res.coefficients == (F(9),)
 
     def test_reconstruction_failed_with_too_few_primes(self):
@@ -285,21 +299,21 @@ class TestFitUnknowns:
         )
         t = tpl([(0, ONE, None)], 1)
         with pytest.raises(ReconstructionFailed):
-            fit_unknowns(ZERO_SPEC, t, primes, lhs=truth)
+            fit_synthetic(t, primes, truth)
 
     def test_inconsistent_residues(self):
         # residual valuation below the slot: no template of this shape fits
         t = tpl([(2, ONE, None)], 3)
         truth = {p: p for p in (7, 11, 13)}
         with pytest.raises(InconsistentResidues):
-            fit_unknowns(ZERO_SPEC, t, [7, 11, 13], lhs=truth)
+            fit_synthetic(t, [7, 11, 13], truth)
 
     def test_held_out_failure_reported_distinctly(self):
         t = tpl([(0, ONE, None)], 1)
         primes = [7, 11, 13, 17, 19]
         truth = {p: 7 % p for p in primes}
         truth[19] = 8  # corrupt the held-out prime
-        res = fit_unknowns(ZERO_SPEC, t, primes, lhs=truth)
+        res = fit_synthetic(t, primes, truth)
         assert res.coefficients == (F(7),)
         assert not res.held_out_ok
 
@@ -309,8 +323,8 @@ class TestFitUnknowns:
         planted = tpl([(0, ONE, F(5, 73)), (1, Kron(-4), F(-3))], 3)
         primes = primes_in_range(5, 73)
         truth = {p: template_rhs_mod(planted, p) for p in primes if p != 73}
-        res = fit_unknowns(ZERO_SPEC, tpl([(0, ONE, None), (1, Kron(-4), None)], 3),
-                           primes, lhs=truth)
+        truth[73] = 0  # arbitrary: the sums are read at 73 too, before the refit drops it
+        res = fit_synthetic(tpl([(0, ONE, None), (1, Kron(-4), None)], 3), primes, truth)
         assert res.coefficients == (F(5, 73), F(-3))
         assert res.fit_primes + res.held_out_primes == tuple(primes[:-1])
         assert res.held_out_ok
@@ -320,7 +334,7 @@ class TestFitUnknowns:
         primes = primes_in_range(5, 23)
         truth = {p: (3 - 2 * kronecker(5, p) * p) % p**2 for p in primes}
         t = tpl([(0, ONE, None), (1, Kron(5), None)], 2)
-        res = fit_unknowns(ZERO_SPEC, t, primes, lhs=truth)
+        res = fit_synthetic(t, primes, truth)
         assert res.coefficients == (F(3), F(-2))
         assert res.fit_primes + res.held_out_primes == tuple(primes[1:])
         assert res.held_out_ok
@@ -337,7 +351,7 @@ class TestFitUnknowns:
 class TestScanNextTerm:
     def test_recovers_next_zeta_coefficient(self, series):
         t = tpl([(0, ONE, 7)], 1)
-        primes = admissible_primes(series["eq6"], t, 5, 120)
+        primes = admissible_primes(series["eq6"], t, primes_in_range(5, 120))
         report = scan_next_term(series["eq6"], t, primes, [ZetaP(3), ONE],
                                 max_power=5)
         assert report.outcome == "found"
@@ -361,13 +375,13 @@ class TestScanNextTerm:
         # eq6's sum is 7 mod p, so 8 fails at p^0; the structurally zero
         # candidate reads no digit, and the scan must still refuse the template
         t = tpl([(0, ONE, 8)], 1)
-        primes = admissible_primes(series["eq6"], t, 5, 60)
+        primes = admissible_primes(series["eq6"], t, primes_in_range(5, 60))
         with pytest.raises(InconsistentResidues, match="p=5 .* valuation 0"):
             scan_next_term(series["eq6"], t, primes, [ZetaP(2)])
 
     def test_structural_zero_candidate_flagged(self, series):
         t = tpl([(0, ONE, 7)], 1)
-        primes = admissible_primes(series["eq6"], t, 5, 60)
+        primes = admissible_primes(series["eq6"], t, primes_in_range(5, 60))
         report = scan_next_term(series["eq6"], t, primes, [ZetaP(2)], max_power=4)
         assert report.candidates[0].coefficient is None
         assert "structurally zero" in report.candidates[0].note
@@ -382,8 +396,8 @@ class TestConstantModP:
 
 class TestAdmissibility:
     """``inadmissible`` is the one rule: verify skips the primes it rejects
-    with its reason, fit and scan drop them, and the command line's
-    ``admissible_primes`` is the range less them."""
+    with its reason, fit and scan drop them, and ``admissible_primes`` is
+    the range less them."""
 
     def test_scale_prime_is_skipped_with_its_reason(self, series):
         # 7 * S == 0 (mod 7) holds at p = 7 whatever S is: no claim is checked
@@ -406,8 +420,8 @@ class TestAdmissibility:
         primes = primes_in_range(7, 60)
         truth = {p: template_rhs_mod(planted, p) for p in primes}
         unknown = tpl([(0, ONE, None), (1, ZetaP(3), None)], 2)
-        want = fit_unknowns(ZERO_SPEC, unknown, primes, lhs=truth)
-        got = fit_unknowns(ZERO_SPEC, unknown, [3] + primes, lhs={3: 0, **truth})
+        want = fit_synthetic(unknown, primes, truth)
+        got = fit_synthetic(unknown, [3] + primes, {3: 0, **truth})
         assert got == want
         assert want.coefficients == (F(3, 5), F(-2))
 
@@ -469,5 +483,5 @@ class TestAdmissibility:
         spec, t = series[sname], templates[tname]
         report = verify_congruence(spec, t, primes_in_range(2, 400))
         assert [r.p for r in report.rows if not r.skipped] == \
-            admissible_primes(spec, t, 2, 400)
+            admissible_primes(spec, t, primes_in_range(2, 400))
         assert all(r.note for r in report.rows if r.skipped)
