@@ -154,12 +154,19 @@ def _load_json(path: Path) -> dict:
     return data
 
 
-def _fields(data: dict, where: str, required: Sequence[str]) -> None:
+def _fields(data: dict, where: str, required: Sequence[str],
+            optional: Sequence[str] = ()) -> None:
+    """An object with every ``required`` key and no key outside ``required``
+    and ``optional``, so that a misspelt optional key is an error and not a
+    silent default."""
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected an object, got {type(data).__name__}")
     for key in required:
         if key not in data:
             raise SchemaError(f"{where}: missing field {key!r}")
+    unknown = sorted(set(data) - set(required) - set(optional))
+    if unknown:
+        raise SchemaError(f"{where}: unknown field {', '.join(map(repr, unknown))}")
 
 
 def parse_series(path: Path | str) -> SeriesSpec:
@@ -167,9 +174,9 @@ def parse_series(path: Path | str) -> SeriesSpec:
     data = _load_json(path)
     where = path.name
     _fields(data, where, ["name", "upper", "lower", "sign", "base", "poly",
-                          "multiplier", "rhs"])
+                          "multiplier", "rhs"], ["denom_linear"])
     rhs = data["rhs"]
-    _fields(rhs, f"{where}:rhs", ["coefficient"])
+    _fields(rhs, f"{where}:rhs", ["coefficient"], ["sqrt_disc", "pi_exponent"])
     denom = data.get("denom_linear")
     if denom is not None:
         if not isinstance(denom, list) or len(denom) != 2:
@@ -194,25 +201,6 @@ def parse_series(path: Path | str) -> SeriesSpec:
             pi_exponent=_integer(rhs.get("pi_exponent", 0), f"{where}:rhs.pi_exponent"),
         ),
     )
-
-
-def serialize_series(spec: SeriesSpec) -> dict:
-    return {
-        "name": spec.name,
-        "upper": [str(a) for a in spec.upper],
-        "lower": [str(b) for b in spec.lower],
-        "sign": spec.sign,
-        "base": str(spec.base),
-        "poly": [str(c) for c in spec.poly],
-        "denom_linear": None if spec.denom_linear is None
-        else [str(spec.denom_linear[0]), str(spec.denom_linear[1])],
-        "multiplier": str(spec.multiplier),
-        "rhs": {
-            "coefficient": str(spec.rhs.coefficient),
-            "sqrt_disc": spec.rhs.sqrt_disc,
-            "pi_exponent": spec.rhs.pi_exponent,
-        },
-    }
 
 
 # A constant is "one" or {kind: arg}, where arg is the list of the class's
@@ -260,7 +248,7 @@ def parse_template(path: Path | str) -> ExpansionTemplate:
     path = Path(path)
     data = _load_json(path)
     where = path.name
-    _fields(data, where, ["mod_power", "terms"])
+    _fields(data, where, ["mod_power", "terms"], ["scale", "name"])
     terms = []
     for i, raw in enumerate(_list(data["terms"], f"{where}:terms")):
         _fields(raw, f"{where}:terms[{i}]", ["exponent", "constant", "coefficient"])
@@ -305,7 +293,6 @@ class ClaimsFile:
     scale: Fraction
     order: int
     claims: tuple[ExpansionClaim, ...]
-    tolerance: Optional[str] = None  # decimal string, e.g. "1e-40"
     series: Optional[str] = None  # the name of the series the claims are about
 
 
@@ -314,14 +301,11 @@ def parse_claims(path: Path | str) -> ClaimsFile:
     path = Path(path)
     data = _load_json(path)
     where = path.name
-    _fields(data, where, ["order", "claims"])
-    tolerance = data.get("tolerance")
-    if tolerance is not None:
-        _tag(mpf, f"{where}:tolerance", tolerance)
+    _fields(data, where, ["order", "claims"], ["name", "scale", "series"])
     order = _bounded(data["order"], f"{where}:order", *ORDER)
     claims = []
     for i, raw in enumerate(_list(data["claims"], f"{where}:claims")):
-        _fields(raw, f"{where}:claims[{i}]", ["order", "coefficient"])
+        _fields(raw, f"{where}:claims[{i}]", ["order", "coefficient"], ["constants"])
         at = _bounded(raw["order"], f"{where}:claims[{i}].order", ORDER[0], order)
         if any(cl.order == at for cl in claims):
             raise SchemaError(f"{where}:claims[{i}].order repeats order {at}")
@@ -345,7 +329,6 @@ def parse_claims(path: Path | str) -> ClaimsFile:
         scale=scale,
         order=order,
         claims=tuple(claims),
-        tolerance=tolerance,
         series=None if data.get("series") is None else str(data["series"]),
     )
 
@@ -410,16 +393,17 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
     spec = args.spec
     bits = args.prec
     if args.verify is None:
-        ts = shifted_expansion(spec, args.order, bits)
+        order = 5 if args.order is None else args.order
+        ts = shifted_expansion(spec, order, bits)
         payload = {
             "command": "expand",
             "series": spec.name,
-            "order": args.order,
+            "order": order,
             "precision_bits": bits,
             "error_bound": to_decimal(ts.error_bound, 8),
             "coefficients": [to_decimal(c, 40) for c in ts.coeffs],
         }
-        lines = [f"{spec.name}: expansion to order {args.order} "
+        lines = [f"{spec.name}: expansion to order {order} "
                  f"({bits} bits, coefficient error < {payload['error_bound']})"]
         lines += [f"  x^{k}: {c}" for k, c in enumerate(payload["coefficients"])]
         return EXIT_OK, payload, "\n".join(lines) + "\n"
@@ -427,13 +411,13 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
     if claims.series is not None and claims.series != spec.name:
         raise SchemaError(f"claims {claims.name!r} are about series {claims.series!r}, "
                           f"not {spec.name!r}")
-    tol = mpf(claims.tolerance) if claims.tolerance else None
-    report = verify_expansion(
-        spec.scaled(claims.scale), claims.claims, claims.order, bits, tolerance=tol
-    )
+    if args.order not in (None, claims.order):
+        raise SchemaError(f"--order {args.order} differs from the order {claims.order} "
+                          f"of claims {claims.name!r}")
+    report = verify_expansion(spec.scaled(claims.scale), claims.claims, claims.order, bits)
     payload = {"command": "expand", "claims": claims.name, **report.as_dict()}
-    lines = [f"{spec.name} vs claims {claims.name!r} "
-             f"(order {claims.order}, {bits} bits, tol {to_decimal(report.tolerance, 4)})"]
+    lines = [f"{spec.name} vs claims {claims.name!r} (order {report.order}, "
+             f"{report.precision_bits} bits, tol {to_decimal(report.tolerance, 4)})"]
     for c in report.checks:
         kind = "claimed" if c.claimed else "zero"
         lines.append(
@@ -551,8 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="BITS")
 
     p = command("expand", _run_expand, "x-shift expansion, optionally vs claims")
-    p.add_argument("--order", type=_bounded_option("--order", ORDER), default=5,
-                   metavar="K")
+    p.add_argument("--order", type=_bounded_option("--order", ORDER), metavar="K",
+                   help="default 5, or with --verify the claims file's order")
     p.add_argument("--prec", type=_bounded_option("--prec", PRECISION), default=256,
                    metavar="BITS")
     p.add_argument("--verify", type=_input_option(parse_claims), metavar="CLAIMS",

@@ -265,10 +265,10 @@ class CongruenceReport:
 
 def _report(spec: SeriesSpec, tpl: ExpansionTemplate, sums: Mapping[int, int],
             primes: Sequence[int], reasons: Mapping[int, str]) -> CongruenceReport:
-    """The rows over ``primes`` in order: a prime with a reason is skipped with
-    it, and any other compares ``sums[p]`` (modulo p^M) with the template."""
+    """The rows over the sorted ``primes``: a prime with a reason is skipped
+    with it, and any other compares ``sums[p]`` (modulo p^M) with the template."""
     rows = []
-    for p in sorted(primes):
+    for p in primes:
         if reasons.get(p):
             rows.append(CongruenceRow(p=p, lhs=None, rhs=None, passed=False,
                                       defect_valuation=None, note=reasons[p]))
@@ -285,12 +285,13 @@ def _report(spec: SeriesSpec, tpl: ExpansionTemplate, sums: Mapping[int, int],
 def verify_congruence(spec: SeriesSpec, tpl: ExpansionTemplate,
                       primes: Sequence[int]) -> CongruenceReport:
     """Compare scale * truncated sum against the template modulo p^M for
-    every prime given.  A prime that ``inadmissible`` rejects becomes a
-    skipped row carrying the reason; an empty prime list raises
-    InvariantViolation.
+    every prime given, each once and in order.  A prime that
+    ``inadmissible`` rejects becomes a skipped row carrying the reason; an
+    empty prime list raises InvariantViolation.
     """
     if not primes:
         raise InvariantViolation("primes", "verification needs at least one, got 0")
+    primes = sorted(set(primes))
     reasons = {p: inadmissible(spec, tpl, p) for p in primes}
     admitted = [p for p in primes if not reasons[p]]
     sums = truncated_sums_mod(spec.scaled(tpl.scale), admitted, tpl.modulus_power)

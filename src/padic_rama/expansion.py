@@ -336,33 +336,20 @@ def verify_expansion(
     claims: Sequence[ExpansionClaim],
     K: int,
     precision_bits: int,
-    tolerance: Optional[mpf] = None,
 ) -> ExpansionReport:
     """Check every claimed coefficient against the computed expansion, and
     require the unclaimed orders (implicit zeros) to vanish within the same
     tolerance.  Failures are report entries, never exceptions.
 
-    When an explicit tolerance is given and the expansion's own error bound
-    is not comfortably inside it, the working precision escalates (doubling,
-    at most three times) so a FAIL verdict reflects the claim and not the
-    arithmetic.
+    The tolerance follows from the precision alone: max(16 * the expansion's
+    error bound, 2^-(precision_bits // 2)), so a claim is held to about half
+    the working bits.  A tighter check asks for more bits.
     """
     if any(cl.order > K for cl in claims):
         raise ValueError("claim order exceeds expansion order")
     ts = shifted_expansion(spec, K, precision_bits)
-    if tolerance is not None:
-        for _ in range(3):
-            with mp.workprec(precision_bits + _WORK_GUARD):
-                comfortable = 16 * ts.error_bound < mpf(tolerance)
-            if comfortable:
-                break
-            precision_bits *= 2
-            ts = shifted_expansion(spec, K, precision_bits)
     with mp.workprec(precision_bits + _WORK_GUARD):
-        if tolerance is None:
-            tol = max(16 * ts.error_bound, mpf(2) ** (-(precision_bits // 2)))
-        else:
-            tol = mpf(tolerance)
+        tol = max(16 * ts.error_bound, mpf(2) ** (-(precision_bits // 2)))
         by_order = {cl.order: cl for cl in claims}
         checks = []
         for k in range(K + 1):

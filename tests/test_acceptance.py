@@ -135,7 +135,7 @@ def test_criterion_6_archimedean_expansions(series, claims):
     for cname, sname in pairings:
         cf = claims[cname]
         report = verify_expansion(series[sname].scaled(cf.scale), cf.claims,
-                                  cf.order, 256, tolerance=mpf("1e-40"))
+                                  cf.order, 256)
         assert report.all_pass, cname
         worst = max(worst, max(c.defect for c in report.checks))
     elapsed = time.monotonic() - t0

@@ -23,7 +23,6 @@ from padic_rama.cli import (
     parse_series,
     parse_template,
     resolve_input,
-    serialize_series,
     serialize_template,
 )
 from padic_rama.congruence import Kron, LQp, ZetaP, constant_mod_p
@@ -39,12 +38,32 @@ TEMPLATE_FIXTURES = ["eq5", "eq8", "eq11", "eq12", "eq14", "eq16",
                      "eq14-unknowns", "eq16-unknowns"]
 
 
+def _series_json(spec) -> dict:
+    """The file form of a parsed series: the inverse of ``parse_series``."""
+    return {
+        "name": spec.name,
+        "upper": [str(a) for a in spec.upper],
+        "lower": [str(b) for b in spec.lower],
+        "sign": spec.sign,
+        "base": str(spec.base),
+        "poly": [str(c) for c in spec.poly],
+        "denom_linear": None if spec.denom_linear is None
+        else [str(x) for x in spec.denom_linear],
+        "multiplier": str(spec.multiplier),
+        "rhs": {
+            "coefficient": str(spec.rhs.coefficient),
+            "sqrt_disc": spec.rhs.sqrt_disc,
+            "pi_exponent": spec.rhs.pi_exponent,
+        },
+    }
+
+
 class TestParsing:
     @pytest.mark.parametrize("name", SERIES_FIXTURES)
     def test_series_round_trip(self, name):
         path = resolve_input(name)
         original = json.loads(Path(path).read_text())
-        assert serialize_series(parse_series(path)) == original
+        assert _series_json(parse_series(path)) == original
 
     @pytest.mark.parametrize("name", TEMPLATE_FIXTURES)
     def test_template_round_trip(self, name):
@@ -188,6 +207,34 @@ class TestCommands:
         assert code == EXIT_OK
         assert "all pass" in capsys.readouterr().out
 
+    def test_expand_verify_takes_the_claims_order(self, capsys):
+        # --order defaults to the claims file's order, and may only repeat it
+        code = main(["expand", "--spec", "eq6", "--verify", "eq7-claims",
+                     "--prec", "128", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["order"] == 3
+        assert main(["expand", "--spec", "eq2", "--order", "5", "--verify", "eq3-claims",
+                     "--prec", "128"]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["expand", "--spec", "eq2", "--order", "2", "--verify", "eq3-claims",
+                     "--prec", "128"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: --order 2 differs from the order 5 of claims 'eq3'\n"
+
+    def test_claims_tolerance_cannot_pass_a_false_claim(self, tmp_path, capsys):
+        # x^0 of eq3 is 8/pi^2: a claim of 9/pi^2 fails, and no file field passes it
+        data = json.loads((FIXDIR / "eq3-claims.json").read_text())
+        data["claims"][0]["coefficient"] = "9"
+        bad = tmp_path / "bad.json"
+        argv = ["expand", "--spec", "eq2", "--verify", str(bad), "--prec", "128"]
+        bad.write_text(json.dumps(data))
+        assert main(argv) == EXIT_MATH_FAIL
+        data["tolerance"] = "inf"
+        bad.write_text(json.dumps(data))
+        assert main(argv) == EXIT_USAGE
+        assert "unknown field 'tolerance'" in capsys.readouterr().err
+
     def test_expand_verify_names_both_series_on_a_mismatch(self, capsys):
         code = main(["expand", "--spec", "eq2", "--verify", "eq7-claims"])
         assert code == EXIT_USAGE
@@ -261,6 +308,12 @@ MALFORMED = [
     (None, "--candidates", "kron:0"),
     ("eq3-claims", ("scale",), "0"),
     ("eq3-claims", ("scale",), "-1"),
+    ("eq3-claims", ("claims", 0, "constant"), []),
+    ("eq2", ("denom_liner",), None),
+    ("eq2", ("rhs", "pi_exponant"), 2),
+    ("eq5", ("terms", 0, "coeff"), "1"),
+    ("eq16", ("sacle",), "529/3"),
+    ("eq10-claims", ("sacle",), "1/128"),
 ]
 
 
@@ -284,6 +337,8 @@ def test_malformed_input_exits_usage(tmp_path, capsys, fixture, key, value):
             "eq2": ["sum-check", "--spec", str(bad)],
             "eq5": ["congruence", "--spec", "eq2", "--template", str(bad), *primes],
             "eq3-claims": ["expand", "--spec", "eq2", "--verify", str(bad)],
+            "eq10-claims": ["expand", "--spec", "eq9", "--verify", str(bad)],
+            "eq16": ["congruence", "--spec", "eq15", "--template", str(bad), *primes],
             "eq8-unknowns": ["fit", "--spec", "eq6", "--template", str(bad), *primes],
         }[fixture]
     assert main(argv) == EXIT_USAGE

@@ -224,6 +224,10 @@ class TestVerifyCongruence:
     def test_rows_sorted_by_prime(self, series, templates):
         report = verify_congruence(series["eq2"], templates["eq5"], [13, 5, 7])
         assert [r.p for r in report.rows] == [5, 7, 13]
+        # a repeated prime is one row, as in every other prime-taking call
+        report = verify_congruence(series["eq2"], templates["eq5"], [11, 11, 7])
+        assert [r.p for r in report.rows] == [7, 11]
+        assert report.counts == {"pass": 2, "fail": 0, "skip": 0}
 
 
 class TestFitUnknowns:

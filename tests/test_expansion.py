@@ -267,8 +267,7 @@ class TestRecognize:
 class TestVerifyExpansion:
     def test_eq3_claims_pass(self, series, claims):
         cf = claims["eq3-claims"]
-        report = verify_expansion(series["eq2"], cf.claims, cf.order, 256,
-                                  tolerance=mpf("1e-40"))
+        report = verify_expansion(series["eq2"], cf.claims, cf.order, 256)
         assert report.all_pass
         assert [c.claimed for c in report.checks] == [True, False, True, False, True, True]
 
@@ -279,7 +278,7 @@ class TestVerifyExpansion:
             ExpansionClaim(4, F(51), (Zeta(2),)),  # 50 -> 51
             ExpansionClaim(5, F(-448), (Zeta(3),)),
         )
-        report = verify_expansion(series["eq2"], bad, 5, 256, tolerance=mpf("1e-40"))
+        report = verify_expansion(series["eq2"], bad, 5, 256)
         assert not report.all_pass
         failing = [c for c in report.checks if not c.passed]
         assert [c.order for c in failing] == [4]
@@ -289,10 +288,3 @@ class TestVerifyExpansion:
     def test_claim_order_beyond_K_rejected(self, series):
         with pytest.raises(ValueError):
             verify_expansion(series["eq2"], (ExpansionClaim(9, F(1), ()),), 5, 128)
-
-    def test_precision_escalates_to_meet_explicit_tolerance(self, series, claims):
-        cf = claims["eq3-claims"]
-        report = verify_expansion(series["eq2"], cf.claims, cf.order, 64,
-                                  tolerance=mpf("1e-40"))
-        assert report.all_pass
-        assert report.precision_bits >= 256
