@@ -18,7 +18,6 @@ import re
 import sys
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -338,11 +337,11 @@ def resolve_input(name: str) -> Path:
     p = Path(name)
     if p.exists():
         return p
-    root = resources.files("padic_rama") / "fixtures"
+    root = Path(__file__).with_name("fixtures")
     for candidate in (name, f"{name}.json"):
         fp = root / candidate
         if fp.is_file():
-            return Path(str(fp))
+            return fp
     raise FileNotFoundError(f"no such file or fixture: {name}")
 
 

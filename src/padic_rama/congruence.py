@@ -40,13 +40,15 @@ from .series import truncated_sum_mod  # noqa: F401  (perfbench/traced.py wraps 
 
 @dataclass(frozen=True)
 class Kron:
-    """The Kronecker symbol (disc|p) as a template constant, disc != 0."""
+    """The Kronecker symbol (disc|p) as a template constant, for a
+    discriminant ``QuadCharacter`` accepts other than 1."""
 
     disc: int
 
     def __post_init__(self) -> None:
-        if self.disc == 0:
-            raise ValueError("disc must be nonzero: (0|p) = 0 at every prime")
+        QuadCharacter(self.disc)  # validates the discriminant
+        if self.disc == 1:
+            raise ValueError('(1|p) = 1 at every prime: use "one"')
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,18 @@ class ZetaP:
 
 @dataclass(frozen=True)
 class LQp:
-    """L_{D,p}(k) for a fundamental discriminant D; only its mod-p digit is
-    available, and ``check_L_p`` rejects (D, k) when no prime has one."""
+    """L_{D,p}(k) for a discriminant ``QuadCharacter`` accepts other than 1;
+    only its mod-p digit is available, and ``check_L_p`` rejects (D, k) when
+    no prime has one."""
 
     disc: int
     k: int
 
     def __post_init__(self) -> None:
-        check_L_p(QuadCharacter(self.disc), self.k)
+        chi = QuadCharacter(self.disc)
+        if self.disc == 1:
+            raise ValueError("disc 1 is the trivial character: use zeta_p")
+        check_L_p(chi, self.k)
 
 
 TemplateConstant = Union[One, Kron, ZetaP, LQp]
@@ -191,8 +197,6 @@ def _term_mod(term: TemplateTerm, p: int, k: int) -> int:
     """coefficient * constant(p) * p^exponent modulo p^k, computed at width
     k - exponent: a one-digit constant (zeta_p, L_p) is exact there only when
     that width is 1, which the template invariants guarantee."""
-    if is_structural_zero(term.constant):
-        return 0
     coeff = term.coefficient
     if coeff.denominator % p == 0:
         raise BadPrime(f"p={p} divides a template coefficient denominator")

@@ -54,7 +54,8 @@ class Zeta:
 
 @dataclass(frozen=True)
 class Lquad:
-    """L(k, chi_D) for a fundamental discriminant D != 1 and k >= 1."""
+    """L(k, chi_D) for a discriminant ``QuadCharacter`` accepts other than 1,
+    and k >= 1."""
 
     disc: int
     k: int
@@ -64,12 +65,12 @@ class Lquad:
             raise ValueError("k must be >= 1")
         QuadCharacter(self.disc)  # validates the discriminant
         if self.disc == 1:
-            raise ValueError("use Zeta for the trivial character")
+            raise ValueError("disc 1 is the trivial character: use zeta")
 
 
 @dataclass(frozen=True)
 class SqrtDisc:
-    """sqrt(d) for a squarefree integer d >= 2."""
+    """sqrt(d) for an integer d >= 2."""
 
     d: int
 

@@ -216,22 +216,6 @@ def rational_reconstruct(r: ResidueClass) -> Optional[Fraction]:
     return q
 
 
-def prime_factors(n: int) -> set[int]:
-    """The distinct primes dividing n, by trial division (empty for 0 and +-1)."""
-    n = abs(n)
-    out = set()
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.add(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi (simple sieve)."""
     if hi < 2 or hi < lo:

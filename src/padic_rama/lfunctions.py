@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, isqrt
 
 from .errors import BadPrime, InvariantViolation, PrecisionUnavailable
-from .exactnum import kronecker, prime_factors
+from .exactnum import kronecker
 
 
 @cache
@@ -51,13 +51,18 @@ def zeta_nonpositive(s: int) -> Fraction:
     return L_nonpositive(QuadCharacter(1), s)
 
 
+DISC_MAX = 1000  # bound on |D|: an L_p digit costs O(|D|^2) at each prime
+
+
 def _squarefree(n: int) -> bool:
-    return all(n % (q * q) != 0 for q in prime_factors(n))
+    return all(n % (q * q) for q in range(2, isqrt(abs(n)) + 1))
 
 
 @dataclass(frozen=True)
 class QuadCharacter:
-    """The quadratic character a -> (D|a) of a fundamental discriminant D.
+    """The quadratic character a -> (D|a) of a fundamental discriminant D
+    with |D| <= DISC_MAX: the one rule for every discriminant a constant
+    carries (``Kron``, ``LQp``, ``Lquad``).
 
     D = 1 denotes the trivial character (Riemann zeta's L-series).
     """
@@ -66,6 +71,8 @@ class QuadCharacter:
 
     def __post_init__(self) -> None:
         D = self.D
+        if abs(D) > DISC_MAX:
+            raise InvariantViolation("discriminant", f"must be within -{DISC_MAX}..{DISC_MAX}")
         if D == 1:
             return
         ok = (D % 4 == 1 and _squarefree(D)) or (

@@ -250,9 +250,7 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
         q, t, s = _steps(factors, done, p)
         N, D, H = q * N + t * H, q * D, s * H
         done = p
-        v = 0
-        while D % p ** (v + 1) == 0:
-            v += 1
+        v = valuation(D, p)
         pv, pm = p**v, p**m
         top = N % (pv * pm)
         if top % pv:

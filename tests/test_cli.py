@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from datetime import timedelta
@@ -306,6 +309,8 @@ MALFORMED = [
     ("eq5", ("terms", 1, "constant"), {"l_p": [-5, 2]}),
     ("eq5", ("terms", 0, "constant"), {"kron": 0}),
     (None, "--candidates", "kron:0"),
+    (None, "--candidates", "l_p:1:3"),
+    ("eq3-claims", ("claims", 0, "constants", 0), {"l": [-1003, 2]}),
     ("eq3-claims", ("scale",), "0"),
     ("eq3-claims", ("scale",), "-1"),
     ("eq3-claims", ("claims", 0, "constant"), []),
@@ -354,6 +359,7 @@ MUTATED = {
     "eq8": ["scan", "--spec", "eq6", "--template", "{}", "--primes", "5..60",
             "--candidates", "zeta_p:3,one"],
     "eq3-claims": ["expand", "--spec", "eq2", "--verify", "{}", "--prec", "64"],
+    "eq16": ["congruence", "--spec", "eq15", "--template", "{}", "--primes", "5..60"],
 }
 DELETE, LONG = object(), "<an integer of 5000 digits>"
 MUTANTS = [None, [], {}, "1/0", True, 0.5, {"pi_power": 2}, {"kron": 5}, LONG,
@@ -582,7 +588,11 @@ def test_template_mod_power_bounded_like_option(tmp_path, capsys):
 @pytest.mark.parametrize("constant, message", [
     ({"l_p": [5, 1]}, "L_p(1) of an even character needs B_{p-1}"),
     ({"l_p": [-5, 2]}, "discriminant: -5 is not fundamental"),
-    ({"kron": 0}, "disc must be nonzero: (0|p) = 0 at every prime"),
+    ({"kron": 0}, "discriminant: 0 is not fundamental"),
+    ({"l_p": [1, 3]}, "disc 1 is the trivial character: use zeta_p"),
+    ({"kron": 1}, '(1|p) = 1 at every prime: use "one"'),
+    ({"kron": -1}, "discriminant: -1 is not fundamental"),
+    ({"l_p": [1001, 3]}, "discriminant: must be within -1000..1000"),
 ])
 def test_unevaluable_constant_rejected_at_parse(tmp_path, capsys, constant, message):
     # no prime can evaluate these, so no row could ever be computed
@@ -595,6 +605,32 @@ def test_unevaluable_constant_rejected_at_parse(tmp_path, capsys, constant, mess
     assert main(argv) == EXIT_USAGE
     kind, = constant
     assert capsys.readouterr().err == f"error: bad.json:terms[0]:{kind}: {message}\n"
+
+
+HUGE_DISC = "1000000000000000000000000000005"  # 31 digits, 1 mod 4
+
+
+@pytest.mark.parametrize("command, document, where", [
+    (["congruence", "--spec", "eq2", "--template"],
+     {"mod_power": 3, "terms": [{"exponent": 2, "constant": {"l_p": [HUGE_DISC, 2]},
+                                 "coefficient": "1"}]},
+     "terms[0]:l_p"),
+    (["expand", "--spec", "eq2", "--verify"],
+     {"order": 2, "claims": [{"order": 0, "coefficient": "1",
+                              "constants": [{"l": [HUGE_DISC, 2]}]}]},
+     "claims[0]:l"),
+], ids=["template-l_p", "claims-l"])
+def test_huge_discriminant_exits_at_parse(tmp_path, command, document, where):
+    # the bound is checked before the squarefree test, which would otherwise
+    # trial-divide a 31-digit number
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "padic_rama.cli", *command, str(bad)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == (
+        f"error: bad.json:{where}: discriminant: must be within -1000..1000\n")
 
 
 def test_congruence_needs_a_prime(capsys):

@@ -170,7 +170,7 @@ class TestConstantValue:
             PiPower(0)
         with pytest.raises(ValueError):
             Zeta(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trivial character: use zeta$"):
             Lquad(1, 2)
         with pytest.raises(ValueError):
             SqrtDisc(1)

@@ -119,6 +119,13 @@ class TestQuadCharacter:
             with pytest.raises(InvariantViolation):
                 QuadCharacter(D)
 
+    def test_discriminant_bound(self):
+        for D in (997, -995, -996):  # the largest fundamental |D| within the bound
+            QuadCharacter(D)
+        for D in (1001, -1003, 10**30 + 5):
+            with pytest.raises(InvariantViolation, match=r"must be within -1000\.\.1000"):
+                QuadCharacter(D)
+
     def test_parity(self):
         assert CHI5.is_even
         assert not CHI4.is_even
