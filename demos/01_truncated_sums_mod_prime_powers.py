@@ -10,7 +10,7 @@ like (the report records the exact p-adic depth at which it breaks).
 from dataclasses import replace
 from fractions import Fraction
 
-from padic_rama import admissible_primes, primes_in_range, verify_congruence
+from padic_rama import primes_in_range, verify_congruence
 from padic_rama.cli import parse_series, parse_template, resolve_input
 
 PAIRINGS = [
@@ -24,11 +24,10 @@ PAIRINGS = [
 for sname, tname, lo, hi in PAIRINGS:
     spec = parse_series(resolve_input(sname))
     tpl = parse_template(resolve_input(tname))
-    primes = admissible_primes(spec, tpl, primes_in_range(lo, hi))
-    report = verify_congruence(spec, tpl, primes)
-    c = report.counts
+    report = verify_congruence(spec, tpl, primes_in_range(lo, hi))  # drops inadmissible primes
+    c, rows = report.counts, report.rows
     print(f"{sname:10s} vs {tname:5s}  mod p^{tpl.modulus_power}: "
-          f"{c['pass']} pass / {c['fail']} fail over p = {primes[0]}..{primes[-1]}")
+          f"{c['pass']} pass / {c['fail']} fail over p = {rows[0].p}..{rows[-1].p}")
 
 # Now sabotage one coefficient and watch the defect appear at its slot.
 spec = parse_series(resolve_input("eq2"))

@@ -4,17 +4,18 @@ rational coefficients from multi-prime residues, and scanning for the next
 term beyond a verified modulus.
 
 A claim speaks about every prime outside a finite exceptional set, and
-``inadmissible`` is the one statement of that set: primes dividing a
-denominator of the series, the scale, or a known coefficient, and primes
-where a template constant has no value, which ``constant_mod_p`` alone
-decides (a discriminant or conductor prime, or one below a one-digit
-constant's reach p >= k+2).  Verification turns such a prime into a skipped
-row carrying the reason; fit and scan drop it (``admissible_primes``).
+``_judge`` is the one statement of that set: primes dividing a denominator
+of the series, the scale, or a known coefficient, and primes where a
+template constant has no value, which ``constant_mod_p`` alone decides (a
+discriminant or conductor prime, or one below a one-digit constant's reach
+p >= k+2).  ``inadmissible`` and ``admissible_primes`` are views of it.
 
-Verify, fit and scan each read the sums once (``truncated_sums_mod`` over
-every admitted prime).  ``_report`` builds verification's and fit's held-out
-rows; ``_residuals`` (sum minus the known terms) and ``_read_coefficient``
-(one slot's digits -> CRT -> rational) serve fit and scan.
+Verify, fit and scan each judge their primes once, dropping the
+inadmissible ones, and read the sums once (``truncated_sums_mod``).  The
+judgement reads each template constant once over the range
+(``constant_digits``); every later step takes the values from that table.
+``_residuals`` (sum minus the known terms) serves every command, and
+``_read_coefficient`` (one slot's digits -> CRT -> rational) fit and scan.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ class LQp:
 
 TemplateConstant = Union[One, Kron, ZetaP, LQp]
 ONE_DIGIT = (ZetaP, LQp)  # the constants that carry a single p-adic digit
+Digits = dict[TemplateConstant, dict[int, Union[int, str]]]  # constant_digits per constant
 
 
 def is_structural_zero(constant: TemplateConstant) -> bool:
@@ -94,7 +96,7 @@ def constant_mod_p(constant: TemplateConstant, p: int) -> int:
     """The constant's value at p: exactly +-1/1 for One/Kron (valid modulo
     every power of p), and the single mod-p digit for ZetaP/LQp (which is
     all that exists of them).  Where it has none it raises BadPrime or
-    PrecisionUnavailable, and ``inadmissible`` reports the message."""
+    PrecisionUnavailable, and ``constant_digits`` keeps the message."""
     if isinstance(constant, One):
         return 1
     if isinstance(constant, Kron):
@@ -107,6 +109,19 @@ def constant_mod_p(constant: TemplateConstant, p: int) -> int:
     if isinstance(constant, LQp):
         return L_p_mod_p(QuadCharacter(constant.disc), constant.k, p)
     raise TypeError(f"unknown template constant {constant!r}")
+
+
+def constant_digits(constant: TemplateConstant,
+                    primes: Iterable[int]) -> dict[int, Union[int, str]]:
+    """{p: ``constant_mod_p(constant, p)``, or the message of what it raises
+    at p}: the one place a command evaluates a constant."""
+    out = {}
+    for p in primes:
+        try:
+            out[p] = constant_mod_p(constant, p)
+        except (BadPrime, PrecisionUnavailable) as exc:
+            out[p] = str(exc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -159,49 +174,50 @@ class ExpansionTemplate:
         return all(t.known for t in self.terms)
 
 
-def _constant_inadmissible(constant: TemplateConstant, p: int) -> str:
-    """Why the constant has no value at p, or "": the message of the BadPrime
-    or PrecisionUnavailable that ``constant_mod_p`` raises there."""
-    try:
-        constant_mod_p(constant, p)
-    except (BadPrime, PrecisionUnavailable) as exc:
-        return str(exc)
-    return ""
+def _judge(spec: SeriesSpec, tpl: ExpansionTemplate,
+           primes: Iterable[int]) -> tuple[list[int], dict[int, str], Digits]:
+    """The one judgement of a prime range: (the admitted primes, sorted and
+    distinct; {p: why p is inadmissible, or ""}; {constant: its
+    ``constant_digits``} at the primes the structural rules pass).  In
+    order, p is inadmissible when it divides a structural denominator of the
+    series, the scale, or a known coefficient's denominator, or when a
+    template constant has no value at p, in its evaluator's words."""
+    reasons = dict.fromkeys(sorted(set(primes)), "")
+    for p in reasons:
+        if spec.is_bad_prime(p):
+            reasons[p] = f"p={p} divides a structural denominator of {spec.name}"
+        elif tpl.scale.numerator % p == 0 or tpl.scale.denominator % p == 0:
+            reasons[p] = f"p={p} divides the template scale {tpl.scale}"
+        elif any(t.known and t.coefficient.denominator % p == 0 for t in tpl.terms):
+            reasons[p] = f"p={p} divides a template coefficient denominator"
+    checked = [p for p, why in reasons.items() if not why]
+    digits = {c: constant_digits(c, checked)
+              for c in dict.fromkeys(t.constant for t in tpl.terms)}
+    for p in checked:
+        reasons[p] = next((d[p] for d in digits.values() if isinstance(d[p], str)), "")
+    return [p for p, why in reasons.items() if not why], reasons, digits
 
 
 def inadmissible(spec: SeriesSpec, tpl: ExpansionTemplate, p: int) -> str:
     """Why the claim  scale * (truncated sum) == template (mod p^M)  cannot be
-    read at the prime p, or "" when p is admissible.  In order: p divides a
-    structural denominator of the series, the scale's numerator or
-    denominator, or a known coefficient's denominator; or a template constant
-    has no value at p, in the words of its evaluator (``constant_mod_p``).
-    The one statement of the rule: verification skips such a prime with this
-    reason, and fitting and scanning drop it."""
-    if spec.is_bad_prime(p):
-        return f"p={p} divides a structural denominator of {spec.name}"
-    if tpl.scale.numerator % p == 0 or tpl.scale.denominator % p == 0:
-        return f"p={p} divides the template scale {tpl.scale}"
-    if any(t.known and t.coefficient.denominator % p == 0 for t in tpl.terms):
-        return f"p={p} divides a template coefficient denominator"
-    return next(filter(None, (_constant_inadmissible(t.constant, p) for t in tpl.terms)), "")
+    read at the prime p, or "" when p is admissible: ``_judge`` at p."""
+    return _judge(spec, tpl, [p])[1][p]
 
 
 def admissible_primes(spec: SeriesSpec, tpl: ExpansionTemplate,
                       primes: Iterable[int]) -> list[int]:
-    """The one range filter: the primes given, sorted and distinct, less
-    those ``inadmissible`` rejects."""
-    return sorted(p for p in set(primes) if not inadmissible(spec, tpl, p))
+    """The primes given, sorted and distinct, less those ``_judge`` rejects."""
+    return _judge(spec, tpl, primes)[0]
 
 
-def _term_mod(term: TemplateTerm, p: int, k: int) -> int:
-    """coefficient * constant(p) * p^exponent modulo p^k, computed at width
-    k - exponent: a one-digit constant (zeta_p, L_p) is exact there only when
-    that width is 1, which the template invariants guarantee."""
+def _term_mod(term: TemplateTerm, c: int, p: int, k: int) -> int:
+    """coefficient * c * p^exponent modulo p^k, c the constant's value at p,
+    at width k - exponent: a one-digit constant (zeta_p, L_p) is exact there
+    only when that width is 1, which the template invariants guarantee."""
     coeff = term.coefficient
     if coeff.denominator % p == 0:
         raise BadPrime(f"p={p} divides a template coefficient denominator")
     pw = p ** (k - term.exponent)
-    c = constant_mod_p(term.constant, p)
     return coeff.numerator * pow(coeff.denominator, -1, pw) * c % pw * p**term.exponent
 
 
@@ -210,21 +226,16 @@ def template_rhs_mod(tpl: ExpansionTemplate, p: int) -> int:
     if not tpl.fully_known:
         raise UnknownCoefficient("template has unresolved coefficients")
     M = tpl.modulus_power
-    return sum(_term_mod(t, p, M) for t in tpl.terms) % p**M
+    return sum(_term_mod(t, constant_mod_p(t.constant, p), p, M) for t in tpl.terms) % p**M
 
 
 @dataclass(frozen=True)
 class CongruenceRow:
     p: int
-    lhs: Optional[int]
-    rhs: Optional[int]
+    lhs: int
+    rhs: int
     passed: bool
-    defect_valuation: Optional[int]  # < M iff failing; None when skipped/passing
-    note: str = ""
-
-    @property
-    def skipped(self) -> bool:
-        return self.lhs is None
+    defect_valuation: Optional[int]  # < M iff failing, None when passing
 
 
 @dataclass(frozen=True)
@@ -235,17 +246,13 @@ class CongruenceReport:
 
     @property
     def all_pass(self) -> bool:
-        """True when at least one row was computed and every computed row passed."""
-        computed = [r for r in self.rows if not r.skipped]
-        return bool(computed) and all(r.passed for r in computed)
+        """True when there is at least one row and every row passed."""
+        return bool(self.rows) and all(r.passed for r in self.rows)
 
     @property
     def counts(self) -> dict[str, int]:
-        return {
-            "pass": sum(1 for r in self.rows if r.passed),
-            "fail": sum(1 for r in self.rows if not r.passed and not r.skipped),
-            "skip": sum(1 for r in self.rows if r.skipped),
-        }
+        passed = sum(1 for r in self.rows if r.passed)
+        return {"pass": passed, "fail": len(self.rows) - passed, "skip": 0}
 
     def as_dict(self) -> dict:
         return {
@@ -260,66 +267,55 @@ class CongruenceReport:
                     "rhs": r.rhs,
                     "pass": r.passed,
                     "defect_valuation": r.defect_valuation,
-                    "note": r.note,
+                    "note": "",
                 }
                 for r in self.rows
             ],
         }
 
 
-def _report(spec: SeriesSpec, tpl: ExpansionTemplate, sums: Mapping[int, int],
-            primes: Sequence[int], reasons: Mapping[int, str]) -> CongruenceReport:
-    """The rows over the sorted ``primes``: a prime with a reason is skipped
-    with it, and any other compares ``sums[p]`` (modulo p^M) with the template."""
-    rows = []
-    for p in primes:
-        if reasons.get(p):
-            rows.append(CongruenceRow(p=p, lhs=None, rhs=None, passed=False,
-                                      defect_valuation=None, note=reasons[p]))
-            continue
-        left, right = sums[p], template_rhs_mod(tpl, p)
-        rows.append(CongruenceRow(
-            p=p, lhs=left, rhs=right, passed=left == right,
-            defect_valuation=None if left == right else valuation(left - right, p),
-        ))
-    return CongruenceReport(series=spec.name, modulus_power=tpl.modulus_power,
-                            rows=tuple(rows))
-
-
-def verify_congruence(spec: SeriesSpec, tpl: ExpansionTemplate,
-                      primes: Sequence[int]) -> CongruenceReport:
-    """Compare scale * truncated sum against the template modulo p^M for
-    every prime given, each once and in order.  A prime that
-    ``inadmissible`` rejects becomes a skipped row carrying the reason; an
-    empty prime list raises InvariantViolation.
-    """
-    if not primes:
-        raise InvariantViolation("primes", "verification needs at least one, got 0")
-    primes = sorted(set(primes))
-    reasons = {p: inadmissible(spec, tpl, p) for p in primes}
-    admitted = [p for p in primes if not reasons[p]]
-    sums = truncated_sums_mod(spec.scaled(tpl.scale), admitted, tpl.modulus_power)
-    return _report(spec, tpl, sums, primes, reasons)
-
-
-def _residuals(tpl: ExpansionTemplate, sums: Mapping[int, int], primes: Sequence[int],
-               m: int) -> dict[int, int]:
+def _residuals(tpl: ExpansionTemplate, digits: Digits, sums: Mapping[int, int],
+               primes: Sequence[int], m: int) -> dict[int, int]:
     """At each prime, the left side in ``sums`` minus every known template
     term, modulo p^m; structural zeros contribute nothing."""
     known = [t for t in tpl.terms if t.known]
-    return {p: (sums[p] - sum(_term_mod(t, p, m) for t in known)) % p**m for p in primes}
+    return {p: (sums[p] - sum(_term_mod(t, digits[t.constant][p], p, m) for t in known))
+            % p**m for p in primes}
 
 
-def _read_coefficient(
-    constant: TemplateConstant, e: int, w: int, residuals: Mapping[int, int]
-) -> tuple[Optional[Fraction], int]:
+def _report(spec: SeriesSpec, tpl: ExpansionTemplate, digits: Digits,
+            sums: Mapping[int, int], primes: Sequence[int]) -> CongruenceReport:
+    """The rows of ``sums`` against the fully known template at ``primes``."""
+    M = tpl.modulus_power
+    rows = tuple(CongruenceRow(p=p, lhs=sums[p], rhs=(sums[p] - d) % p**M, passed=not d,
+                               defect_valuation=valuation(d, p) if d else None)
+                 for p, d in _residuals(tpl, digits, sums, primes, M).items())
+    return CongruenceReport(series=spec.name, modulus_power=M, rows=rows)
+
+
+def verify_congruence(spec: SeriesSpec, tpl: ExpansionTemplate,
+                      primes: Iterable[int]) -> CongruenceReport:
+    """Compare scale * truncated sum against the fully known template modulo
+    p^M at every admissible prime given, each once and in order; with none,
+    InvariantViolation."""
+    if not tpl.fully_known:
+        raise UnknownCoefficient("template has unresolved coefficients")
+    primes, _, digits = _judge(spec, tpl, primes)
+    if not primes:
+        raise InvariantViolation("primes", "verification needs at least one, got 0")
+    sums = truncated_sums_mod(spec.scaled(tpl.scale), primes, tpl.modulus_power)
+    return _report(spec, tpl, digits, sums, primes)
+
+
+def _read_coefficient(constant: TemplateConstant, digits: Digits, e: int, w: int,
+                      residuals: Mapping[int, int]) -> tuple[Optional[Fraction], int]:
     """The rational r with r * constant(p) matching digits p^e .. p^(e+w-1)
     of the residual at every prime: CRT, then rational reconstruction.
 
     Returns (r, or None when no bounded rational fits; primes used).  A
     residual that p^e does not divide raises InconsistentResidues.  A prime
-    where ``constant_mod_p`` finds no value or no unit is skipped; when none
-    is left, PrecisionUnavailable.
+    where the constant has no value or no unit is skipped; when none is
+    left, PrecisionUnavailable.
     """
     classes = []
     for p, r in residuals.items():
@@ -327,11 +323,8 @@ def _read_coefficient(
             raise InconsistentResidues(
                 f"residual at p={p} has valuation {valuation(r, p)} below the slot p^{e}"
             )
-        try:
-            c = constant_mod_p(constant, p)
-        except (BadPrime, PrecisionUnavailable):
-            continue
-        if c % p == 0:
+        c = digits[constant][p]
+        if isinstance(c, str) or c % p == 0:
             continue  # this prime carries no information for the coefficient
         pw = p**w
         classes.append(ResidueClass(r // p**e * pow(c, -1, pw) % pw, pw))
@@ -363,9 +356,9 @@ def fit_unknowns(spec: SeriesSpec, tpl: ExpansionTemplate,
     Stage i reads r_i from the residual's digits p^(e_i) .. p^(e_{i+1} - 1)
     at every fit prime (the final stage up to p^(M-1)) with
     ``_read_coefficient``; the exact value is substituted before the next
-    stage.  The primes that ``inadmissible`` rejects are dropped first, and
-    the sums are read once at the rest; the refits and the rows of the
-    held-out top HELD_OUT_FRACTION, which check the completed template,
+    stage.  The primes that ``_judge`` rejects are dropped first, and the
+    sums and constants are read once at the rest; the refits and the rows of
+    the held-out top HELD_OUT_FRACTION, which check the completed template,
     reuse them and judge no prime again.
     A template with no unknown, or fewer than two primes left after that or
     after a refit, raise InvariantViolation.
@@ -385,7 +378,7 @@ def fit_unknowns(spec: SeriesSpec, tpl: ExpansionTemplate,
     M = work.modulus_power
     exps = [t.exponent for t in work.terms]
     windows = [b - a for a, b in zip(exps, exps[1:])] + [M - exps[-1]]
-    primes = admissible_primes(spec, tpl, primes)
+    primes, _, digits = _judge(spec, tpl, primes)
     sums = truncated_sums_mod(spec.scaled(tpl.scale), primes, M)
     while True:
         if len(primes) < 2:
@@ -393,12 +386,12 @@ def fit_unknowns(spec: SeriesSpec, tpl: ExpansionTemplate,
                 "primes", f"fitting needs at least two, got {len(primes)}")
         n_held = max(1, round(HELD_OUT_FRACTION * len(primes)))
         fit_primes, held_out = primes[:-n_held], primes[-n_held:]
-        residual = _residuals(work, sums, fit_primes, M)
+        residual = _residuals(work, digits, sums, fit_primes, M)
         terms, recovered = list(work.terms), []
         for i, (term, w) in enumerate(zip(work.terms, windows)):
             if term.known:
                 continue
-            value, used = _read_coefficient(term.constant, term.exponent, w, residual)
+            value, used = _read_coefficient(term.constant, digits, term.exponent, w, residual)
             if value is None:
                 raise ReconstructionFailed(
                     f"no bounded rational fits the coefficient at p^{term.exponent} "
@@ -409,7 +402,8 @@ def fit_unknowns(spec: SeriesSpec, tpl: ExpansionTemplate,
             recovered.append(value)
             terms[i] = term = replace(term, coefficient=value)
             for p in fit_primes:
-                residual[p] = (residual[p] - _term_mod(term, p, M)) % p**M
+                residual[p] = (residual[p]
+                               - _term_mod(term, digits[term.constant][p], p, M)) % p**M
         else:
             break  # no recovered denominator meets the range
         # refit without the range primes dividing the recovered denominator
@@ -427,7 +421,7 @@ def fit_unknowns(spec: SeriesSpec, tpl: ExpansionTemplate,
         template=completed,
         fit_primes=tuple(fit_primes),
         held_out_primes=tuple(held_out),
-        held_out_report=_report(spec, completed, sums, held_out, {}),
+        held_out_report=_report(spec, completed, digits, sums, held_out),
     )
 
 
@@ -481,8 +475,9 @@ def scan_next_term(
     unknown -- and the scan reports that outcome instead of guessing.
     ``max_power`` (default M + 4) must exceed M, else InvariantViolation;
     a template that fails modulo p^M at some prime raises
-    InconsistentResidues.  The primes that ``inadmissible`` rejects are
-    dropped first, and InvariantViolation is raised when none is left.
+    InconsistentResidues.  The primes that ``_judge`` rejects are dropped
+    first, and InvariantViolation is raised when none is left.  A candidate
+    that is also a template constant reuses the judgement's reading of it.
     """
     if not tpl.fully_known:
         raise UnknownCoefficient("template has unresolved coefficients")
@@ -510,13 +505,13 @@ def scan_next_term(
             ),
         )
 
-    primes = admissible_primes(spec, tpl, primes)
+    primes, _, digits = _judge(spec, tpl, primes)
     if not primes:
         raise InvariantViolation("primes", "scanning needs at least one, got 0")
     # all surviving constants are exact (One/Kron), so the template extends
     # to any modulus
     sums = truncated_sums_mod(spec.scaled(tpl.scale), primes, limit)
-    defects = _residuals(tpl, sums, primes, limit)
+    defects = _residuals(tpl, digits, sums, primes, limit)
     failing = next((p for p in primes if defects[p] % p**M), None)
     if failing is not None:
         raise InconsistentResidues(
@@ -535,7 +530,9 @@ def scan_next_term(
                                      primes_used=0,
                                      note="structurally zero constant"))
             continue
-        value, used = _read_coefficient(cand, slot, 1, defects)
+        if cand not in digits:
+            digits[cand] = constant_digits(cand, primes)
+        value, used = _read_coefficient(cand, digits, slot, 1, defects)
         fits.append(CandidateFit(constant=cand, coefficient=value, primes_used=used,
                                  note="no bounded rational fits" if value is None else ""))
     return ScanReport(

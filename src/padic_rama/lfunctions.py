@@ -51,7 +51,7 @@ def zeta_nonpositive(s: int) -> Fraction:
     return L_nonpositive(QuadCharacter(1), s)
 
 
-DISC_MAX = 1000  # bound on |D|: an L_p digit costs O(|D|^2) at each prime
+DISC_MAX = 1000  # bound on |D|: an L_p digit costs O(|D| + p) at each prime
 
 
 def _squarefree(n: int) -> bool:
@@ -124,7 +124,6 @@ def L_nonpositive(chi: QuadCharacter, s: int) -> Fraction:
     return -generalized_bernoulli(chi, m) / m
 
 
-@cache
 def _bernoulli_chi_mod_p(D: int, m: int, p: int) -> int:
     """B_{m,chi} mod p for the character of discriminant D (D = 1: B_m), with
     p prime to the conductor f and 2 <= m <= p-2, from the power-sum
@@ -132,12 +131,17 @@ def _bernoulli_chi_mod_p(D: int, m: int, p: int) -> int:
 
     Writing a = b + p j (0 <= b < p, 0 <= j < f), a^m = b^m + m p j b^(m-1)
     (mod p^2), and the character sums over j depend only on b mod f: the
-    sum costs p powers instead of f p.
+    sum costs p powers instead of f p.  The weights sum_j j chi(s + p j) walk
+    from s = 0 in O(f): weight[s + p] = weight[s] - sum(chi) + f chi(s).
     """
     f, pp = abs(D), p * p
     chi = [kronecker(D, r or f) for r in range(f)]  # class 0 read at a = f
     whole = sum(chi)  # b + p j runs over every class mod f
-    weight = [sum(j * chi[(s + p * j) % f] for j in range(f)) for s in range(f)]
+    weight = [sum(j * chi[p * j % f] for j in range(f))] * f
+    s = 0
+    for _ in range(f - 1):
+        weight[(s + p) % f] = weight[s] - whole + f * chi[s]
+        s = (s + p) % f
     total = sum((whole * b + m * p * weight[b % f]) * pow(b, m - 1, pp)
                 for b in range(1, p))
     return total % pp // p * pow(f, -1, p) % p
@@ -170,9 +174,10 @@ def zeta_p_mod_p(k: int, p: int) -> int:
 def L_p_mod_p(chi: QuadCharacter, k: int, p: int) -> int:
     """The single known digit of L_{D,p}(k): 0 when ``parity_zero(D, k)``,
     else L(1+k-p, chi) = -B_{m,chi}/m mod p with m = p-k, B_{m,chi} from a
-    power sum over a <= f p.  BadPrime at every prime dividing the conductor
-    (2 and 3 included), else PrecisionUnavailable below the reach p >= k+2;
-    ``congruence.inadmissible`` reports these messages as its reasons.
+    power sum over a <= f p, afresh at each call.  BadPrime at every prime
+    dividing the conductor (2 and 3 included), else PrecisionUnavailable below
+    the reach p >= k+2; ``congruence.constant_digits`` reads each digit once
+    per command, these messages included.
     """
     if chi.conductor % p == 0:
         raise BadPrime(f"p={p} divides the conductor {chi.conductor}")

@@ -493,22 +493,27 @@ def test_fit_and_scan_read_the_same_coefficient(tmp_path):
     assert len(units["ZetaP(k=5)"]) < len(primes)
 
 
+SEED_7 = str(Path(__file__).parent / "fixtures" / "seed-7.json")
+
+
 @pytest.mark.parametrize("argv", [
+    ["congruence", "--spec", "eq6", "--template", "eq8"],
     ["fit", "--spec", "eq6", "--template", "eq8-unknowns"],
-    ["scan", "--spec", "eq6", "--template",
-     str(Path(__file__).parent / "fixtures" / "seed-7.json"), "--candidates", "zeta_p:3"],
+    ["scan", "--spec", "eq6", "--template", SEED_7, "--candidates", "zeta_p:3"],
 ], ids=lambda argv: argv[0])
-def test_fit_and_scan_judge_each_prime_once(monkeypatch, tmp_path, argv):
+def test_each_command_judges_each_prime_once(monkeypatch, tmp_path, argv):
     # the command line passes the raw range; the library alone filters it
-    # (2 and 3 are inadmissible here), and fit's held-out rows compare the
-    # completed template with the sums without judging any prime again
-    calls, judge = Counter(), congruence.inadmissible
+    # (2 and 3 are inadmissible here) in one judgement, and fit's held-out
+    # rows compare the completed template with the sums without judging any
+    # prime again
+    calls, judge = Counter(), congruence._judge
 
-    def counted(spec, tpl, p):
-        calls[tpl, p] += 1
-        return judge(spec, tpl, p)
+    def counted(spec, tpl, primes):
+        primes = list(primes)
+        calls.update((tpl, p) for p in primes)
+        return judge(spec, tpl, primes)
 
-    monkeypatch.setattr(congruence, "inadmissible", counted)
+    monkeypatch.setattr(congruence, "_judge", counted)
     _json_run([*argv, "--primes", "2..100"], tmp_path)
     given = parse_template(resolve_input(argv[4]))
     assert {tpl for tpl, p in calls} == {given}
@@ -519,8 +524,28 @@ def test_fit_and_scan_judge_each_prime_once(monkeypatch, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["congruence", "--spec", "eq6", "--template", "eq8"],
     ["fit", "--spec", "eq6", "--template", "eq8-unknowns"],
-    ["scan", "--spec", "eq6", "--template",
-     str(Path(__file__).parent / "fixtures" / "seed-7.json"), "--candidates", "zeta_p:3"],
+    # "one" is also the template's constant, and reuses its reading
+    ["scan", "--spec", "eq6", "--template", SEED_7, "--candidates", "zeta_p:3,one"],
+], ids=lambda argv: argv[0])
+def test_each_command_reads_each_constant_once(monkeypatch, tmp_path, argv):
+    # one constant_mod_p call per (constant, prime) in a command: the
+    # judgement, the rows, the fitted slots and the candidates share one table
+    calls, evaluate = Counter(), congruence.constant_mod_p
+
+    def counted(constant, p):
+        calls[constant, p] += 1
+        return evaluate(constant, p)
+
+    monkeypatch.setattr(congruence, "constant_mod_p", counted)
+    _json_run([*argv, "--primes", "2..100"], tmp_path)
+    assert {c for c, p in calls} == {ONE, ZetaP(3)}
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["congruence", "--spec", "eq6", "--template", "eq8"],
+    ["fit", "--spec", "eq6", "--template", "eq8-unknowns"],
+    ["scan", "--spec", "eq6", "--template", SEED_7, "--candidates", "zeta_p:3"],
 ], ids=lambda argv: argv[0])
 def test_each_command_reads_the_sums_once(monkeypatch, tmp_path, argv):
     # one truncated_sums_mod call over every admitted prime of the command:

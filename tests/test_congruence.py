@@ -13,7 +13,7 @@ from padic_rama.congruence import (
     LQp,
     TemplateTerm,
     ZetaP,
-    _constant_inadmissible,
+    constant_digits,
     constant_mod_p,
     fit_unknowns,
     inadmissible,
@@ -207,15 +207,16 @@ class TestVerifyCongruence:
         report = verify_congruence(ZERO_SPEC, tpl([], 4), [5, 7, 11])
         assert report.all_pass
 
-    def test_inadmissible_prime_recorded_as_skip(self, series, templates):
-        report = verify_congruence(series["eq9"], templates["eq12"], [5])
-        assert report.rows[0].skipped
-        assert "denominator" in report.rows[0].note
+    def test_inadmissible_prime_is_dropped(self, series, templates):
+        report = verify_congruence(series["eq9"], templates["eq12"], [5, 7])
+        assert [r.p for r in report.rows] == [7]
+        assert "denominator" in inadmissible(series["eq9"], templates["eq12"], 5)
 
     def test_no_computed_row_is_no_pass(self, series, templates):
-        report = verify_congruence(series["eq9"], templates["eq12"], [5])
-        assert report.counts == {"pass": 0, "fail": 0, "skip": 1}
-        assert not report.all_pass
+        with pytest.raises(InvariantViolation,
+                           match="verification needs at least one, got 0"):
+            verify_congruence(series["eq9"], templates["eq12"], [5])
+        assert not congruence.CongruenceReport("eq9", 3, ()).all_pass
 
     def test_empty_prime_list_rejected(self, series, templates):
         with pytest.raises(InvariantViolation, match="primes"):
@@ -399,17 +400,17 @@ class TestConstantModP:
 
 
 class TestAdmissibility:
-    """``inadmissible`` is the one rule: verify skips the primes it rejects
-    with its reason, fit and scan drop them, and ``admissible_primes`` is
-    the range less them."""
+    """``_judge`` is the one rule: verify, fit and scan drop the primes it
+    rejects, ``inadmissible`` gives its reason at one prime, and
+    ``admissible_primes`` is the range less the rejected primes."""
 
     def test_scale_prime_is_skipped_with_its_reason(self, series):
         # 7 * S == 0 (mod 7) holds at p = 7 whatever S is: no claim is checked
         t = tpl([(0, ONE, 0)], 1, scale=F(7))
         report = verify_congruence(series["eq2"], t, [7, 11])
-        seven, eleven = report.rows
-        assert seven.skipped and seven.note == "p=7 divides the template scale 7"
-        assert not eleven.skipped and eleven.passed
+        eleven, = report.rows
+        assert eleven.p == 11 and eleven.passed
+        assert inadmissible(series["eq2"], t, 7) == "p=7 divides the template scale 7"
 
     def test_fit_drops_a_series_denominator_prime(self, series, templates):
         primes = primes_in_range(7, 199)
@@ -458,8 +459,8 @@ class TestAdmissibility:
                 scan_next_term(series["eq6"], t, primes, [ZetaP(3)], max_power=5)
 
     def test_constant_reasons_are_the_evaluators(self):
-        # no rule is stated twice: a constant is rejected at p exactly when
-        # constant_mod_p raises there, in its words -- at 2 and 3 as well
+        # no rule is stated twice: a constant's table holds the message of
+        # what constant_mod_p raises at p, in its words -- at 2 and 3 as well
         grid = [ONE, *(Kron(D) for D in (-23, -8, -4, -3, 5, 8, 12)),
                 *(ZetaP(k) for k in range(2, 7))]
         for D in (-24, -23, -8, -4, -3, 5, 8, 12, 13):
@@ -469,23 +470,26 @@ class TestAdmissibility:
                 except PrecisionUnavailable:
                     pass  # L_p(1) of an even character has no digit anywhere
         assert len(grid) == 63
+        primes = primes_in_range(2, 59)
         for c in grid:
-            for p in primes_in_range(2, 59):
+            table = constant_digits(c, primes)
+            assert list(table) == primes
+            for p in primes:
                 try:
-                    constant_mod_p(c, p)
-                    raised = ""
+                    want = constant_mod_p(c, p)
                 except (BadPrime, PrecisionUnavailable) as exc:
-                    raised = str(exc)
-                assert _constant_inadmissible(c, p) == raised, (c, p)
-        assert _constant_inadmissible(LQp(-4, 3), 2) == "p=2 divides the conductor 4"
-        assert _constant_inadmissible(LQp(-3, 2), 3) == "p=3 divides the conductor 3"
+                    want = str(exc)
+                assert table[p] == want, (c, p)
+        assert constant_digits(LQp(-4, 3), [2]) == {2: "p=2 divides the conductor 4"}
+        assert constant_digits(LQp(-3, 2), [3]) == {3: "p=3 divides the conductor 3"}
 
     @pytest.mark.parametrize("tname", ["eq5", "eq8", "eq11", "eq12", "eq14", "eq16"])
     @pytest.mark.parametrize("sname", ["eq2", "eq6", "eq9", "gourevitch", "eq15"])
     def test_verify_computes_exactly_the_admissible_primes(self, series, templates,
                                                            sname, tname):
         spec, t = series[sname], templates[tname]
-        report = verify_congruence(spec, t, primes_in_range(2, 400))
-        assert [r.p for r in report.rows if not r.skipped] == \
-            admissible_primes(spec, t, primes_in_range(2, 400))
-        assert all(r.note for r in report.rows if r.skipped)
+        primes = primes_in_range(2, 400)
+        report = verify_congruence(spec, t, primes)
+        admitted = admissible_primes(spec, t, primes)
+        assert [r.p for r in report.rows] == admitted
+        assert all(inadmissible(spec, t, p) for p in set(primes) - set(admitted))

@@ -8,12 +8,14 @@ import sympy
 from padic_rama.errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.lfunctions import (
+    DISC_MAX,
     L_nonpositive,
     L_p_mod_p,
     QuadCharacter,
     bernoulli_all_mod_p,
     bernoulli_exact,
     generalized_bernoulli,
+    parity_zero,
     zeta_nonpositive,
     zeta_p_mod_p,
 )
@@ -287,6 +289,13 @@ class TestDigitOracles:
         for p in self.PRIMES:
             got = zeta_p_mod_p(k, p) if D == 1 else L_p_mod_p(QuadCharacter(D), k, p)
             assert got == table_digit(D, k, p), (D, k, p)
+
+    @pytest.mark.parametrize("D,k", [(-995, 2), (997, 3)])
+    def test_power_sum_matches_table_at_the_discriminant_bound(self, D, k):
+        # the table costs |D| p powers, so these primes stay small
+        assert abs(D) > 0.99 * DISC_MAX and not parity_zero(D, k)
+        for p in (7, 11, 13, 53, 101):
+            assert L_p_mod_p(QuadCharacter(D), k, p) == table_digit(D, k, p), (D, k, p)
 
     def test_zeta_matches_sympy(self):
         for k in (3, 5, 7, 9):
