@@ -7,10 +7,9 @@ pairing over a prime range and then shows what a failing template looks
 like (the report records the exact p-adic depth at which it breaks).
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
-from padic_rama import primes_in_range, verify_congruence
+from padic_rama import primes_in_range, replace, verify_congruence
 from padic_rama.cli import parse_series, parse_template, resolve_input
 
 PAIRINGS = [

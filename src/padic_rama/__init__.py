@@ -9,6 +9,7 @@ importing the package for its p-adic half loads neither.
 
 from typing import TYPE_CHECKING
 
+from ._record import replace
 from .constants import ONE, ConstantTag, Lquad, One, PiPower, SqrtDisc, Zeta, constant_value
 from .congruence import (
     CongruenceReport,

@@ -16,11 +16,11 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ._record import record
 from .congruence import (
     ExpansionTemplate,
     Kron,
@@ -60,6 +60,7 @@ MOD_POWER = (1, 32)      # --max-power, a template's mod_power
 ORDER = (0, 16)          # --order, a claims file's order
 PRECISION = (64, 65536)  # --prec, in bits
 PRIME_MAX = 10**6        # top of --primes; the prime sieve allocates that many bytes
+SERIES_LIST_MAX = 32     # entries of a series' upper, lower and poly lists
 
 _ARCHIMEDEAN = ("mp", "mpf", "ExpansionClaim", "shifted_expansion", "verify_expansion")
 
@@ -184,14 +185,11 @@ def parse_series(path: Path | str) -> SeriesSpec:
                  _rational(denom[1], f"{where}:denom_linear[1]"))
     return SeriesSpec(
         name=str(data["name"]),
-        upper=tuple(_rational(a, f"{where}:upper")
-                    for a in _list(data["upper"], f"{where}:upper")),
-        lower=tuple(_rational(b, f"{where}:lower")
-                    for b in _list(data["lower"], f"{where}:lower")),
+        upper=_series_list(data, "upper", where),
+        lower=_series_list(data, "lower", where),
         sign=_integer(data["sign"], f"{where}:sign"),
         base=_rational(data["base"], f"{where}:base"),
-        poly=tuple(_rational(c, f"{where}:poly")
-                   for c in _list(data["poly"], f"{where}:poly")),
+        poly=_series_list(data, "poly", where),
         denom_linear=denom,
         multiplier=_rational(data["multiplier"], f"{where}:multiplier"),
         rhs=ClosedForm(
@@ -200,6 +198,15 @@ def parse_series(path: Path | str) -> SeriesSpec:
             pi_exponent=_integer(rhs.get("pi_exponent", 0), f"{where}:rhs.pi_exponent"),
         ),
     )
+
+
+def _series_list(data: dict, key: str, where: str) -> tuple[Fraction, ...]:
+    where = f"{where}:{key}"
+    items = _list(data[key], where)
+    if len(items) > SERIES_LIST_MAX:
+        raise SchemaError(f"{where} must have at most {SERIES_LIST_MAX} entries, "
+                          f"got {len(items)}")
+    return tuple(_rational(x, where) for x in items)
 
 
 # A constant is "one" or {kind: arg}, where arg is the list of the class's
@@ -217,7 +224,7 @@ def _constant(raw, where: str, kinds: dict):
         (kind, arg), = raw.items()
         if kind in kinds:
             where = f"{where}:{kind}"
-            names = [f.name for f in fields(kinds[kind])]
+            names = kinds[kind]._fields
             args = arg if isinstance(arg, list) else [arg]
             if len(args) != len(names):
                 raise SchemaError(f"{where}: takes [{', '.join(names)}]")
@@ -229,7 +236,7 @@ def _template_constant_json(constant):
     """The file form of a template constant: the inverse of ``_constant``."""
     if isinstance(constant, One):
         return "one"
-    args = list(astuple(constant))
+    args = [getattr(constant, name) for name in constant._fields]
     return {_TEMPLATE_KIND_OF[type(constant)]: args if len(args) > 1 else args[0]}
 
 
@@ -286,7 +293,7 @@ def serialize_template(tpl: ExpansionTemplate, name: str = "") -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ClaimsFile:
     name: str
     scale: Fraction

@@ -20,10 +20,10 @@ judgement reads each template constant once over the range
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
+from ._record import record, replace
 from .constants import One
 from .errors import (
     BadPrime,
@@ -39,7 +39,7 @@ from .series import SeriesSpec, truncated_sums_mod
 from .series import truncated_sum_mod  # noqa: F401  (perfbench/traced.py wraps this name)
 
 
-@dataclass(frozen=True)
+@record
 class Kron:
     """The Kronecker symbol (disc|p) as a template constant, for a
     discriminant ``QuadCharacter`` accepts other than 1."""
@@ -52,7 +52,7 @@ class Kron:
             raise ValueError('(1|p) = 1 at every prime: use "one"')
 
 
-@dataclass(frozen=True)
+@record
 class ZetaP:
     """zeta_p(k) = L_p(k, chi_1) at an integer k >= 2; only its mod-p digit
     is available."""
@@ -65,7 +65,7 @@ class ZetaP:
             raise ValueError("k must be >= 2")
 
 
-@dataclass(frozen=True)
+@record
 class LQp:
     """L_{D,p}(k) for a discriminant ``QuadCharacter`` accepts other than 1;
     only its mod-p digit is available, and ``check_L_p`` rejects (D, k) when
@@ -124,7 +124,7 @@ def constant_digits(constant: TemplateConstant,
     return out
 
 
-@dataclass(frozen=True)
+@record
 class TemplateTerm:
     exponent: int
     constant: TemplateConstant
@@ -135,7 +135,7 @@ class TemplateTerm:
         return self.coefficient is not None
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionTemplate:
     """Ordered sum of terms coefficient * constant(p) * p^exponent, asserted
     modulo p^modulus_power for the truncated sum rescaled by ``scale``.
@@ -229,7 +229,7 @@ def template_rhs_mod(tpl: ExpansionTemplate, p: int) -> int:
     return sum(_term_mod(t, constant_mod_p(t.constant, p), p, M) for t in tpl.terms) % p**M
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceRow:
     p: int
     lhs: int
@@ -238,7 +238,7 @@ class CongruenceRow:
     defect_valuation: Optional[int]  # < M iff failing, None when passing
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceReport:
     series: str
     modulus_power: int
@@ -333,7 +333,7 @@ def _read_coefficient(constant: TemplateConstant, digits: Digits, e: int, w: int
     return rational_reconstruct(crt_combine(classes)), len(classes)
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     coefficients: tuple[Fraction, ...]
     template: ExpansionTemplate
@@ -425,7 +425,7 @@ def fit_unknowns(spec: SeriesSpec, tpl: ExpansionTemplate,
     )
 
 
-@dataclass(frozen=True)
+@record
 class CandidateFit:
     constant: TemplateConstant
     coefficient: Optional[Fraction]
@@ -433,7 +433,7 @@ class CandidateFit:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     outcome: str  # "found" | "no_defect" | "indeterminate"
     defect_exponent: Optional[int]

@@ -12,11 +12,11 @@ when called: the p-adic side, which uses only the tag classes, never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Union
 
+from ._record import record
 from .lfunctions import QuadCharacter
 
 if TYPE_CHECKING:
@@ -25,12 +25,12 @@ if TYPE_CHECKING:
 _GUARD_BITS = 32
 
 
-@dataclass(frozen=True)
+@record
 class One:
     """The constant 1 (rational coefficients with no transcendental part)."""
 
 
-@dataclass(frozen=True)
+@record
 class PiPower:
     """pi^(-exponent), exponent >= 1."""
 
@@ -41,7 +41,7 @@ class PiPower:
             raise ValueError("exponent must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class Zeta:
     """zeta(k) at an integer k >= 2."""
 
@@ -52,7 +52,7 @@ class Zeta:
             raise ValueError("k must be >= 2")
 
 
-@dataclass(frozen=True)
+@record
 class Lquad:
     """L(k, chi_D) for a discriminant ``QuadCharacter`` accepts other than 1,
     and k >= 1."""
@@ -68,7 +68,7 @@ class Lquad:
             raise ValueError("disc 1 is the trivial character: use zeta")
 
 
-@dataclass(frozen=True)
+@record
 class SqrtDisc:
     """sqrt(d) for an integer d >= 2."""
 

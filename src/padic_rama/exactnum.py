@@ -9,10 +9,10 @@ other module relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._record import record
 from .errors import NegativeValuationSum, NonCoprimeModuli, PrecisionUnavailable
 
 
@@ -34,7 +34,7 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class PadicResidue:
     """p^v * u known modulo p^(v+m), i.e. with m known unit digits.
 
@@ -151,7 +151,7 @@ def kronecker(D: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class ResidueClass:
     """An integer class value + M*Z with 0 <= value < M."""
 

@@ -17,13 +17,13 @@ listed parameter, one truncated exponential and O(K^2) series products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
 
+from ._record import record
 from .constants import ConstantTag, constant_value, to_decimal, to_mpf
 from .errors import InsufficientPrecision
 from .lattice import lll_reduce
@@ -32,7 +32,7 @@ from .series import SeriesSpec
 _WORK_GUARD = 64
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedSeries:
     """Polynomial of fixed order K with mpf coefficients and one uniform
     error bound; arithmetic is exact in the ring R[x]/(x^{K+1}) apart from
@@ -271,7 +271,7 @@ def recognize(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionClaim:
     """Claimed coefficient at one order: coefficient * prod(constants)."""
 
@@ -286,7 +286,7 @@ class ExpansionClaim:
         return v
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientCheck:
     order: int
     claimed: bool
@@ -296,7 +296,7 @@ class CoefficientCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionReport:
     series: str
     order: int

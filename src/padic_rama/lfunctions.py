@@ -4,7 +4,9 @@ L-functions at non-positive integers, and the single p-adic digit of
 L_{D,p}(k) that the congruence machinery consumes.  zeta_p is L_p of the
 trivial character chi_1 (D = 1), so one routine serves both: the digit is a
 Kummer value, -B_{m,chi}/m mod p with m = p-k, and one power sum over
-a <= f p gives B_{m,chi} mod p (f = 1 for zeta_p).
+a <= f p gives B_{m,chi} mod p (f = 1 for zeta_p).  Its p powers b^(m-1)
+mod p^2 come from a multiplicative sieve: a modular power at each prime b
+below p, one product of two earlier powers at each composite.
 
 Convention: B_1 = -1/2 everywhere, so that zeta(1-k) = -B_k/k and
 L(1-m, chi) = -B_{m,chi}/m hold with no sign fixups.
@@ -12,11 +14,11 @@ L(1-m, chi) = -B_{m,chi}/m hold with no sign fixups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, isqrt
 
+from ._record import record
 from .errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from .exactnum import kronecker
 
@@ -58,7 +60,7 @@ def _squarefree(n: int) -> bool:
     return all(n % (q * q) for q in range(2, isqrt(abs(n)) + 1))
 
 
-@dataclass(frozen=True)
+@record
 class QuadCharacter:
     """The quadratic character a -> (D|a) of a fundamental discriminant D
     with |D| <= DISC_MAX: the one rule for every discriminant a constant
@@ -131,10 +133,13 @@ def _bernoulli_chi_mod_p(D: int, m: int, p: int) -> int:
 
     Writing a = b + p j (0 <= b < p, 0 <= j < f), a^m = b^m + m p j b^(m-1)
     (mod p^2), and the character sums over j depend only on b mod f: the
-    sum costs p powers instead of f p.  The weights sum_j j chi(s + p j) walk
+    sum needs p powers instead of f p.  The weights sum_j j chi(s + p j) walk
     from s = 0 in O(f): weight[s + p] = weight[s] - sum(chi) + f chi(s).
+    b -> b^(m-1) is completely multiplicative, so the powers come from a
+    sieve built afresh at each call: ``pow`` at each prime b, and
+    q^(m-1) (b/q)^(m-1) at a composite b with least prime factor q.
     """
-    f, pp = abs(D), p * p
+    f, pp, e = abs(D), p * p, m - 1
     chi = [kronecker(D, r or f) for r in range(f)]  # class 0 read at a = f
     whole = sum(chi)  # b + p j runs over every class mod f
     weight = [sum(j * chi[p * j % f] for j in range(f))] * f
@@ -142,8 +147,14 @@ def _bernoulli_chi_mod_p(D: int, m: int, p: int) -> int:
     for _ in range(f - 1):
         weight[(s + p) % f] = weight[s] - whole + f * chi[s]
         s = (s + p) % f
-    total = sum((whole * b + m * p * weight[b % f]) * pow(b, m - 1, pp)
-                for b in range(1, p))
+    least = list(range(p))  # least prime factor of each 2 <= b < p
+    for q in range(isqrt(p - 1), 1, -1):
+        least[q * q::q] = [q] * len(range(q * q, p, q))
+    power = [0, 1] + [0] * (p - 2)  # b^e mod p^2
+    for b in range(2, p):
+        q = least[b]
+        power[b] = pow(b, e, pp) if q == b else power[q] * power[b // q] % pp
+    total = sum((whole * b + m * p * weight[b % f]) * power[b] for b in range(1, p))
     return total % pp // p * pow(f, -1, p) % p
 
 

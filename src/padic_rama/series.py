@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from ._record import record, replace
 from .constants import PiPower, SqrtDisc, constant_value, to_mpf
 from .errors import BadPrime, InvariantViolation, NegativeValuationSum
 from .exactnum import valuation
@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from mpmath import mpf
 
 
-@dataclass(frozen=True)
+@record
 class ClosedForm:
     """coefficient * sqrt(sqrt_disc) / pi^pi_exponent."""
 
@@ -37,7 +37,7 @@ class ClosedForm:
             raise InvariantViolation("rhs.pi_exponent", "must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class SeriesSpec:
     """One series: sum over n of
 

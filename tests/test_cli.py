@@ -99,6 +99,20 @@ class TestParsing:
         with pytest.raises(SchemaError, match="base"):
             parse_series(bad)
 
+    @pytest.mark.parametrize("key", ["upper", "lower", "poly"])
+    def test_series_lists_are_bounded(self, tmp_path, key):
+        data = json.loads((FIXDIR / "eq2.json").read_text())
+        data.update(upper=["1/2"] * 32, lower=["1"] * 32, poly=["1"] * 32)
+        longest = tmp_path / "longest.json"
+        longest.write_text(json.dumps(data))
+        assert len(parse_series(longest).poly) == 32
+        data[key].append(data[key][-1])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(SchemaError,
+                           match=f"^bad.json:{key} must have at most 32 entries, got 33$"):
+            parse_series(bad)
+
     # only "num" and "num/den" with an optional sign: Fraction() itself would
     # take a decimal or an exponent, and spend seconds expanding 1e4000000
     @pytest.mark.parametrize("value", ["one half", "1e4000000", "0.5", "1_000", " 1/2",
@@ -319,6 +333,9 @@ MALFORMED = [
     ("eq5", ("terms", 0, "coeff"), "1"),
     ("eq16", ("sacle",), "529/3"),
     ("eq10-claims", ("sacle",), "1/128"),
+    ("eq2", ("upper",), ["1/2"] * 33),
+    ("eq2", ("lower",), ["1"] * 33),
+    ("eq2", ("poly",), ["1"] * 33),
 ]
 
 

@@ -1,12 +1,11 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from padic_rama import admissible_primes, congruence
+from padic_rama import admissible_primes, congruence, replace
 from padic_rama.congruence import (
     ExpansionTemplate,
     Kron,

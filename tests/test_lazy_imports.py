@@ -1,9 +1,11 @@
 """The p-adic half loads nothing of the archimedean half: a fresh
 ``congruence``, ``fit`` or ``scan`` process, and a bare ``import padic_rama``,
-never import mpmath, ``padic_rama.expansion`` or ``padic_rama.lattice``.  The
-modules a process imports are read from its ``-X importtime`` report, so each
-command runs exactly as ``python -m padic_rama.cli`` runs it.  The names the
-package exports, some of them loaded on first use, must all still resolve.
+never import mpmath, ``padic_rama.expansion`` or ``padic_rama.lattice``, nor
+``dataclasses`` or ``inspect``, whose import costs more than the package's own
+modules (no module of the package imports ``dataclasses``).  The modules a
+process imports are read from its ``-X importtime`` report, so each command
+runs exactly as ``python -m padic_rama.cli`` runs it.  The names the package
+exports, some of them loaded on first use, must all still resolve.
 """
 
 import ast
@@ -21,6 +23,7 @@ import padic_rama
 ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "padic_rama" / "__init__.py"
 ARCHIMEDEAN = {"mpmath", "padic_rama.expansion", "padic_rama.lattice"}
+SLOW_STDLIB = {"dataclasses", "inspect"}
 
 CONGRUENCE = ["congruence", "--spec", "eq2", "--template", "eq5", "--primes", "5..60"]
 P_ADIC_COMMANDS = {
@@ -49,6 +52,7 @@ def test_p_adic_command_loads_no_archimedean_module(args):
     assert code == 0
     assert "padic_rama.congruence" in names
     assert not names & ARCHIMEDEAN
+    assert not names & SLOW_STDLIB
 
 
 def test_bare_package_import_loads_no_archimedean_module():
@@ -56,12 +60,33 @@ def test_bare_package_import_loads_no_archimedean_module():
     assert code == 0
     assert "padic_rama.series" in names
     assert not names & ARCHIMEDEAN
+    assert not names & SLOW_STDLIB
 
 
 def test_importtime_reader_sees_the_archimedean_modules():
     code, names = _imports("-m", "padic_rama.cli", "sum-check", "--spec", "eq2")
     assert code == 0
     assert "mpmath" in names
+
+
+def test_importtime_reader_sees_dataclasses():
+    code, names = _imports("-c", "import dataclasses")
+    assert code == 0
+    assert SLOW_STDLIB <= names
+
+
+def test_no_module_imports_dataclasses():
+    modules = sorted(INIT.parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in imported, path.name
 
 
 def _init_exports() -> list:

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 import sympy
 
+from padic_rama import lfunctions
 from padic_rama.errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.lfunctions import (
@@ -304,3 +305,68 @@ class TestDigitOracles:
                 z = -sympy.bernoulli(m) / m
                 want = int(z.p) * pow(int(z.q), -1, p) % p
                 assert zeta_p_mod_p(k, p) == want, (k, p)
+
+
+def power_sum_bernoulli(D, m, p):
+    """B_{m,chi} mod p from sum_{a<=fp} chi(a) a^m = f p B_{m,chi} (mod p^2),
+    split as a = b + p j, with a ``pow`` at every b < p: the route the
+    multiplicative sieve of ``lfunctions._bernoulli_chi_mod_p`` replaced,
+    kept here as its oracle."""
+    f, pp = abs(D), p * p
+    chi = [kronecker(D, r or f) for r in range(f)]
+    whole = sum(chi)
+    weight = [sum(j * chi[p * j % f] for j in range(f))] * f
+    s = 0
+    for _ in range(f - 1):
+        weight[(s + p) % f] = weight[s] - whole + f * chi[s]
+        s = (s + p) % f
+    total = sum((whole * b + m * p * weight[b % f]) * pow(b, m - 1, pp)
+                for b in range(1, p))
+    return total % pp // p * pow(f, -1, p) % p
+
+
+def _digit(D, k, p):
+    """L_p_mod_p's digit at p, or the class and message of what it raises."""
+    try:
+        return L_p_mod_p(QuadCharacter(D), k, p)
+    except (BadPrime, PrecisionUnavailable) as exc:
+        return type(exc), str(exc)
+
+
+class TestSieveAgainstPowerSum:
+    """The sieved powers of ``_bernoulli_chi_mod_p`` against one ``pow`` per
+    b: every digit, exception and message of L_p_mod_p on the grid, and the
+    Bernoulli residues themselves at every m for small p and in a far window
+    (parity zeros included, where the sum must cancel modulo p^2)."""
+
+    GRID = [(1, k) for k in range(2, 12)] + [
+        (D, k) for D in (-4, -3, 5, 8, -23, 12, 13, -8) for k in range(1, 10)]
+
+    def test_digits_match_on_the_grid(self, monkeypatch):
+        cases = [(D, k, p) for D, k in self.GRID for p in primes_in_range(5, 400)]
+        with monkeypatch.context() as patch:
+            patch.setattr(lfunctions, "_bernoulli_chi_mod_p", power_sum_bernoulli)
+            want = [_digit(*case) for case in cases]
+        got = [_digit(*case) for case in cases]
+        assert sum(isinstance(w, int) and w != 0 for w in want) > 1500
+        assert sum(isinstance(w, tuple) for w in want) > 100
+        for case, g, w in zip(cases, got, want):
+            assert g == w, case
+
+    @pytest.mark.parametrize("D", [1, -3, -4, 5, 8, -23, 997])
+    def test_every_m_at_small_primes(self, D):
+        for p in primes_in_range(5, 60):
+            if D % p:
+                for m in range(2, p - 1):
+                    assert (lfunctions._bernoulli_chi_mod_p(D, m, p)
+                            == power_sum_bernoulli(D, m, p)), (D, m, p)
+
+    @pytest.mark.parametrize("D,k", [(1, 3), (-4, 3), (5, 2), (997, 3)])
+    def test_far_window(self, D, k):
+        primes = primes_in_range(9001, 9200)[:10]
+        assert len(primes) == 10 and primes[0] == 9001
+        for p in primes:
+            assert (lfunctions._bernoulli_chi_mod_p(D, p - k, p)
+                    == power_sum_bernoulli(D, p - k, p)), (D, k, p)
+            want = -power_sum_bernoulli(D, p - k, p) * pow(p - k, -1, p) % p
+            assert _digit(D, k, p) == (0 if parity_zero(D, k) else want), (D, k, p)

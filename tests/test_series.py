@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from padic_rama import replace
 from padic_rama.errors import BadPrime, InvariantViolation, NegativeValuationSum
 from padic_rama.exactnum import primes_in_range, reduce_rational
 from padic_rama.expansion import shifted_expansion
