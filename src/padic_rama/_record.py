@@ -9,8 +9,7 @@ what the dataclass would: an ``__init__`` taking the fields by position or by
 keyword and then calling ``__post_init__``, a ``__repr__`` (unless the class
 defines one), an ``__eq__`` true only between instances of the same class with
 equal fields, a ``__hash__`` of the field values, and attribute assignment
-and deletion that raise.  ``@record(slots=True)`` also gives the class
-``__slots__``.  The field names are kept in the class's ``_fields``.
+and deletion that raise.  The field names are kept in the class's ``_fields``.
 """
 
 from __future__ import annotations
@@ -20,23 +19,8 @@ from operator import attrgetter
 _MISSING = object()
 
 
-def record(cls=None, *, slots: bool = False):
+def record(cls):
     """Make ``cls`` a frozen record (see the module docstring)."""
-    if cls is None:
-        return lambda c: _build(c, slots)
-    return _build(cls, slots)
-
-
-def replace(obj, **changes):
-    """A copy of the record ``obj`` with the given fields changed; the class's
-    ``__post_init__`` checks the new values."""
-    unknown = set(changes) - set(obj._fields)
-    if unknown:
-        raise TypeError(f"{type(obj).__qualname__} has no field {sorted(unknown)[0]!r}")
-    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in obj._fields})
-
-
-def _build(cls, slots: bool):
     names = tuple(name for name, annotation in getattr(cls, "__annotations__", {}).items()
                   if not str(annotation).startswith(("ClassVar", "typing.ClassVar")))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -51,13 +35,18 @@ def _build(cls, slots: bool):
     }
     if "__repr__" not in cls.__dict__:
         methods["__repr__"] = _repr(names)
-    if slots:
-        body = {key: value for key, value in cls.__dict__.items()
-                if key not in ("__dict__", "__weakref__", *defaults)}
-        return type(cls)(cls.__name__, cls.__bases__, {**body, **methods, "__slots__": names})
     for key, value in methods.items():
         setattr(cls, key, value)
     return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with the given fields changed; the class's
+    ``__post_init__`` checks the new values."""
+    unknown = set(changes) - set(obj._fields)
+    if unknown:
+        raise TypeError(f"{type(obj).__qualname__} has no field {sorted(unknown)[0]!r}")
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in obj._fields})
 
 
 def _values(names):

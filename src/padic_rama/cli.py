@@ -1,6 +1,8 @@
 """Command-line front end: series/template/claims file formats, batch
 drivers for sum checking, expansion, congruence verification, coefficient
 fitting and next-term scanning, with deterministic machine-readable reports.
+The library returns records, and this module alone renders them: every key,
+literal and digit count of a text, json or csv report is set here.
 
 Exit codes: 0 all checks pass, 1 a mathematical claim failed, 2 usage or
 configuration error (an unreadable path included), 3 precision unavailable.
@@ -32,7 +34,7 @@ from .congruence import (
     scan_next_term,
     verify_congruence,
 )
-from .constants import ONE, Lquad, One, PiPower, SqrtDisc, Zeta, to_decimal
+from .constants import ONE, Lquad, One, PiPower, SqrtDisc, Zeta
 from .errors import (
     InsufficientPrecision,
     InvariantViolation,
@@ -367,6 +369,17 @@ def parse_prime_range(text: str) -> tuple[int, int]:
 # drivers: each takes the parsed options and returns (exit code, JSON
 # payload, text report)
 
+def to_decimal(x: mpf, digits: int) -> str:
+    """``mp.nstr(x, digits)`` for a report field.  x is first rounded to
+    4*digits + 64 bits: mpmath turns a tiny number with a mantissa of more
+    than about 14300 bits into an integer past Python's 4300-digit str limit.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workprec(4 * digits + 64):
+        return mp.nstr(mpf(x), digits)
+
+
 def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
     _archimedean()
     spec = args.spec
@@ -421,7 +434,27 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
         raise SchemaError(f"--order {args.order} differs from the order {claims.order} "
                           f"of claims {claims.name!r}")
     report = verify_expansion(spec.scaled(claims.scale), claims.claims, claims.order, bits)
-    payload = {"command": "expand", "claims": claims.name, **report.as_dict()}
+    payload = {
+        "command": "expand",
+        "claims": claims.name,
+        "series": report.series,
+        "order": report.order,
+        "precision_bits": report.precision_bits,
+        "tolerance": to_decimal(report.tolerance, 8),
+        "error_bound": to_decimal(report.error_bound, 8),
+        "all_pass": report.all_pass,
+        "checks": [
+            {
+                "order": c.order,
+                "claimed": c.claimed,
+                "computed": to_decimal(c.computed, 40),
+                "target": to_decimal(c.target, 40),
+                "defect": to_decimal(c.defect, 8),
+                "pass": c.passed,
+            }
+            for c in report.checks
+        ],
+    }
     lines = [f"{spec.name} vs claims {claims.name!r} (order {report.order}, "
              f"{report.precision_bits} bits, tol {to_decimal(report.tolerance, 4)})"]
     for c in report.checks:
@@ -445,7 +478,24 @@ def _run_congruence(args: argparse.Namespace) -> tuple[int, dict, str]:
         lines.append(f"  p={r.p}: {status}")
     c = report.counts
     lines.append(f"pass {c['pass']}, fail {c['fail']}, skip {c['skip']}")
-    payload = {"command": "congruence", **report.as_dict()}
+    payload = {
+        "command": "congruence",
+        "series": report.series,
+        "mod_power": report.modulus_power,
+        "counts": c,
+        "all_pass": report.all_pass,
+        "rows": [
+            {
+                "p": r.p,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "pass": r.passed,
+                "defect_valuation": r.defect_valuation,
+                "note": "",
+            }
+            for r in report.rows
+        ],
+    }
     return (EXIT_OK if report.all_pass else EXIT_MATH_FAIL), payload, "\n".join(lines) + "\n"
 
 
@@ -483,7 +533,23 @@ def _run_scan(args: argparse.Namespace) -> tuple[int, dict, str]:
         val = "none" if cand.coefficient is None else str(cand.coefficient)
         extra = f" ({cand.note})" if cand.note else ""
         lines.append(f"  {cand.constant!r}: coefficient {val}{extra}")
-    payload = {"command": "scan", "series": spec.name, **report.as_dict()}
+    payload = {
+        "command": "scan",
+        "series": spec.name,
+        "outcome": report.outcome,
+        "defect_exponent": report.defect_exponent,
+        "digits": {str(p): d for p, d in sorted(report.digits.items())},
+        "note": report.note,
+        "candidates": [
+            {
+                "constant": repr(c.constant),
+                "coefficient": None if c.coefficient is None else str(c.coefficient),
+                "primes_used": c.primes_used,
+                "note": c.note,
+            }
+            for c in report.candidates
+        ],
+    }
     return EXIT_OK, payload, "\n".join(lines) + "\n"
 
 

@@ -16,6 +16,8 @@ judgement reads each template constant once over the range
 (``constant_digits``); every later step takes the values from that table.
 ``_residuals`` (sum minus the known terms) serves every command, and
 ``_read_coefficient`` (one slot's digits -> CRT -> rational) fit and scan.
+Each command returns a record (``CongruenceReport``, ``FitResult``,
+``ScanReport``) that ``cli`` renders.
 """
 
 from __future__ import annotations
@@ -134,6 +136,13 @@ class TemplateTerm:
     def known(self) -> bool:
         return self.coefficient is not None
 
+    def inadmissible(self, p: int) -> str:
+        """Why the prime p cannot read this term, or "" when it can: p
+        divides the denominator of its known coefficient."""
+        if self.known and self.coefficient.denominator % p == 0:
+            return f"p={p} divides a template coefficient denominator"
+        return ""
+
 
 @record
 class ExpansionTemplate:
@@ -184,12 +193,10 @@ def _judge(spec: SeriesSpec, tpl: ExpansionTemplate,
     template constant has no value at p, in its evaluator's words."""
     reasons = dict.fromkeys(sorted(set(primes)), "")
     for p in reasons:
-        if spec.is_bad_prime(p):
-            reasons[p] = f"p={p} divides a structural denominator of {spec.name}"
-        elif tpl.scale.numerator % p == 0 or tpl.scale.denominator % p == 0:
-            reasons[p] = f"p={p} divides the template scale {tpl.scale}"
-        elif any(t.known and t.coefficient.denominator % p == 0 for t in tpl.terms):
-            reasons[p] = f"p={p} divides a template coefficient denominator"
+        why = spec.inadmissible(p)
+        if not why and (tpl.scale.numerator % p == 0 or tpl.scale.denominator % p == 0):
+            why = f"p={p} divides the template scale {tpl.scale}"
+        reasons[p] = why or next(filter(None, (t.inadmissible(p) for t in tpl.terms)), "")
     checked = [p for p, why in reasons.items() if not why]
     digits = {c: constant_digits(c, checked)
               for c in dict.fromkeys(t.constant for t in tpl.terms)}
@@ -214,9 +221,9 @@ def _term_mod(term: TemplateTerm, c: int, p: int, k: int) -> int:
     """coefficient * c * p^exponent modulo p^k, c the constant's value at p,
     at width k - exponent: a one-digit constant (zeta_p, L_p) is exact there
     only when that width is 1, which the template invariants guarantee."""
+    if why := term.inadmissible(p):
+        raise BadPrime(why)
     coeff = term.coefficient
-    if coeff.denominator % p == 0:
-        raise BadPrime(f"p={p} divides a template coefficient denominator")
     pw = p ** (k - term.exponent)
     return coeff.numerator * pow(coeff.denominator, -1, pw) * c % pw * p**term.exponent
 
@@ -253,25 +260,6 @@ class CongruenceReport:
     def counts(self) -> dict[str, int]:
         passed = sum(1 for r in self.rows if r.passed)
         return {"pass": passed, "fail": len(self.rows) - passed, "skip": 0}
-
-    def as_dict(self) -> dict:
-        return {
-            "series": self.series,
-            "mod_power": self.modulus_power,
-            "counts": self.counts,
-            "all_pass": self.all_pass,
-            "rows": [
-                {
-                    "p": r.p,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "pass": r.passed,
-                    "defect_valuation": r.defect_valuation,
-                    "note": "",
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def _residuals(tpl: ExpansionTemplate, digits: Digits, sums: Mapping[int, int],
@@ -440,23 +428,6 @@ class ScanReport:
     digits: dict[int, int]
     candidates: tuple[CandidateFit, ...]
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "defect_exponent": self.defect_exponent,
-            "digits": {str(p): d for p, d in sorted(self.digits.items())},
-            "note": self.note,
-            "candidates": [
-                {
-                    "constant": repr(c.constant),
-                    "coefficient": None if c.coefficient is None else str(c.coefficient),
-                    "primes_used": c.primes_used,
-                    "note": c.note,
-                }
-                for c in self.candidates
-            ],
-        }
 
 
 def scan_next_term(

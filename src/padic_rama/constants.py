@@ -92,17 +92,6 @@ def to_mpf(q: Fraction | int) -> mpf:
     return mpf(q.numerator) / q.denominator
 
 
-def to_decimal(x: mpf, digits: int) -> str:
-    """``mp.nstr(x, digits)`` for a report field.  x is first rounded to
-    4*digits + 64 bits: mpmath turns a tiny number with a mantissa of more
-    than about 14300 bits into an integer past Python's 4300-digit str limit.
-    """
-    from mpmath import mp, mpf
-
-    with mp.workprec(4 * digits + 64):
-        return mp.nstr(mpf(x), digits)
-
-
 @cache
 def constant_value(tag: ConstantTag, precision_bits: int) -> mpf:
     """Value of a constant tag, accurate to ~2^-precision_bits, memoized per

@@ -34,7 +34,7 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-@record(slots=True)
+@record
 class PadicResidue:
     """p^v * u known modulo p^(v+m), i.e. with m known unit digits.
 
@@ -151,7 +151,7 @@ def kronecker(D: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@record(slots=True)
+@record
 class ResidueClass:
     """An integer class value + M*Z with 0 <= value < M."""
 

@@ -12,6 +12,8 @@ only the n = 0 base case needs digamma / Hurwitz-zeta values.  Each later
 term costs one log(a+n) and K powers (a+n)^k per distinct parameter a (the
 lists repeat parameters, so this is 2 of 10 for eq2), K + 1 additions per
 listed parameter, one truncated exponential and O(K^2) series products.
+``verify_expansion`` returns an ``ExpansionReport`` of mpf values that
+``cli`` renders.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 
 from ._record import record
-from .constants import ConstantTag, constant_value, to_decimal, to_mpf
+from .constants import ConstantTag, constant_value, to_mpf
 from .errors import InsufficientPrecision
 from .lattice import lll_reduce
 from .series import SeriesSpec
@@ -308,27 +310,6 @@ class ExpansionReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "series": self.series,
-            "order": self.order,
-            "precision_bits": self.precision_bits,
-            "tolerance": to_decimal(self.tolerance, 8),
-            "error_bound": to_decimal(self.error_bound, 8),
-            "all_pass": self.all_pass,
-            "checks": [
-                {
-                    "order": c.order,
-                    "claimed": c.claimed,
-                    "computed": to_decimal(c.computed, 40),
-                    "target": to_decimal(c.target, 40),
-                    "defect": to_decimal(c.defect, 8),
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def verify_expansion(

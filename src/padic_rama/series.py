@@ -92,16 +92,14 @@ class SeriesSpec:
         """True when every term is zero (a zero multiplier or P = 0)."""
         return self.multiplier == 0 or not any(self.poly)
 
-    def is_bad_prime(self, p: int) -> bool:
-        """True when the prime p divides the denominator of a series datum."""
+    def inadmissible(self, p: int) -> str:
+        """Why the prime p cannot read the series, or "" when it can: p
+        divides the denominator of a series datum."""
         qs = [self.base, self.multiplier, *self.upper, *self.lower, *self.poly,
               *(self.denom_linear or ())]
-        return any(q.denominator % p == 0 for q in qs)
-
-    def check_prime(self, p: int) -> None:
-        """Raise BadPrime when ``is_bad_prime(p)``."""
-        if self.is_bad_prime(p):
-            raise BadPrime(f"p={p} divides a structural denominator of {self.name}")
+        if any(q.denominator % p == 0 for q in qs):
+            return f"p={p} divides a structural denominator of {self.name}"
+        return ""
 
     def scaled(self, scale: Fraction) -> "SeriesSpec":
         """Same series with the global prefactor multiplied by ``scale``."""
@@ -241,7 +239,8 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
         raise ValueError("m must be >= 1")
     primes = sorted(set(primes))
     for p in primes:
-        spec.check_prime(p)
+        if why := spec.inadmissible(p):
+            raise BadPrime(why)
     *_, c = factors = _integer_factors(spec)
     N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
     done = 0

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_rama import admissible_primes, congruence
+from padic_rama import admissible_primes, cli, congruence
 from padic_rama.cli import (
     EXIT_MATH_FAIL,
     EXIT_OK,
@@ -757,3 +758,20 @@ def test_csv_is_congruence_only(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --format: invalid choice: 'csv'" in captured.err
+
+
+def test_only_cli_renders_reports():
+    # the library returns records: no module defines ``as_dict``, and only
+    # cli.py defines or imports ``to_decimal``
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(modules) > 10 and callable(cli.to_decimal)
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {node.name}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert "as_dict" not in names, path.name
+            assert "to_decimal" not in names or path.name == "cli.py", path.name

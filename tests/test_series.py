@@ -153,7 +153,7 @@ class TestTruncatedSumMod:
     def test_far_window_matches_the_range_from_five(self, series, name):
         # the first product tree of the window spans n < 1009 in one piece
         spec = series[name]
-        good = [p for p in primes_in_range(5, 1100) if not spec.is_bad_prime(p)]
+        good = [p for p in primes_in_range(5, 1100) if not spec.inadmissible(p)]
         window = [p for p in good if p >= 1000]
         got = truncated_sums_mod(spec, window, 6)
         full = truncated_sums_mod(spec, good, 6)
@@ -163,7 +163,7 @@ class TestTruncatedSumMod:
 
     def test_batch_matches_single_primes(self, series):
         spec = series["eq15"]
-        primes = [p for p in primes_in_range(5, 120) if not spec.is_bad_prime(p)]
+        primes = [p for p in primes_in_range(5, 120) if not spec.inadmissible(p)]
         got = truncated_sums_mod(spec, primes[::-1] + primes[:3], 5)
         assert got == {p: truncated_sum_mod(spec, p, 5) for p in primes}
         assert truncated_sums_mod(spec, [], 5) == {}
@@ -210,7 +210,7 @@ def test_batch_agrees_with_exact_route(spec, primes, m):
     carrying a sum of negative valuation."""
     want = {}
     for p in primes:
-        if spec.is_bad_prime(p):
+        if spec.inadmissible(p):
             want[p] = BadPrime
             continue
         try:
