@@ -44,16 +44,13 @@ from .lfunctions import (
     bernoulli_all_mod_p,
     bernoulli_exact,
     generalized_bernoulli,
-    zeta_nonpositive,
     zeta_p_mod_p,
 )
 from .series import (
     ClosedForm,
     SeriesSpec,
     numeric_sum,
-    pochhammer,
     rhs_value,
-    term_exact,
     truncated_sum_exact,
     truncated_sum_mod,
     truncated_sums_mod,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -63,6 +64,11 @@ ORDER = (0, 16)          # --order, a claims file's order
 PRECISION = (64, 65536)  # --prec, in bits
 PRIME_MAX = 10**6        # top of --primes; the prime sieve allocates that many bytes
 SERIES_LIST_MAX = 32     # entries of a series' upper, lower and poly lists
+# Bounds on the terms a full sum adds, about prec / -log2(base) (``_terms``).
+# A term of ``expand`` costs about the same below 1024 bits, where the
+# interpreter's overhead dominates, and more than linearly more above.
+SUM_TERMS_MAX = 2**16    # sum-check: terms
+EXPAND_WORK_MAX = 2**35  # expand: terms * (order + 1) * max(prec, 1024)^2
 
 _ARCHIMEDEAN = ("mp", "mpf", "ExpansionClaim", "shifted_expansion", "verify_expansion")
 
@@ -277,8 +283,10 @@ def parse_template(path: Path | str) -> ExpansionTemplate:
     )
 
 
-def serialize_template(tpl: ExpansionTemplate, name: str = "") -> dict:
-    out = {
+def serialize_template(tpl: ExpansionTemplate) -> dict:
+    """The file form of a template, less the optional "name" that
+    ``parse_template`` does not read."""
+    return {
         "mod_power": tpl.modulus_power,
         "scale": str(tpl.scale),
         "terms": [
@@ -290,9 +298,6 @@ def serialize_template(tpl: ExpansionTemplate, name: str = "") -> dict:
             for t in tpl.terms
         ],
     }
-    if name:
-        out["name"] = name
-    return out
 
 
 @record
@@ -380,10 +385,21 @@ def to_decimal(x: mpf, digits: int) -> str:
         return mp.nstr(mpf(x), digits)
 
 
+def _terms(spec: SeriesSpec, bits: int) -> float:
+    """About how many terms a sum to 2^-bits adds: bits / -log2(base), from
+    the decay of base^n alone (inf for a base within float rounding of 1)."""
+    decay = math.log2(spec.base.denominator) - math.log2(spec.base.numerator)
+    return bits / decay if decay > 0 else math.inf
+
+
 def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
-    _archimedean()
     spec = args.spec
     bits = args.prec
+    terms = _terms(spec, bits)
+    if terms > SUM_TERMS_MAX:
+        raise SchemaError(f"sum-check at base {spec.base} and --prec {bits} sums about "
+                          f"{terms:.0f} terms, above the bound {SUM_TERMS_MAX}")
+    _archimedean()
     value, bound = numeric_sum(spec, bits)
     target = rhs_value(spec, bits)
     with mp.workprec(bits + 16):
@@ -408,11 +424,26 @@ def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
-    _archimedean()
-    spec = args.spec
-    bits = args.prec
-    if args.verify is None:
+    spec, bits, claims = args.spec, args.prec, args.verify
+    if claims is None:
         order = 5 if args.order is None else args.order
+    else:
+        if claims.series is not None and claims.series != spec.name:
+            raise SchemaError(f"claims {claims.name!r} are about series "
+                              f"{claims.series!r}, not {spec.name!r}")
+        if args.order not in (None, claims.order):
+            raise SchemaError(f"--order {args.order} differs from the order "
+                              f"{claims.order} of claims {claims.name!r}")
+        order = claims.order
+    terms = _terms(spec, bits)
+    work = terms * (order + 1) * max(bits, 1024) ** 2
+    if work > EXPAND_WORK_MAX:
+        raise SchemaError(f"expand at base {spec.base}, --prec {bits} and --order "
+                          f"{order} sums about {terms:.0f} terms: terms * (order + 1) "
+                          f"* max(prec, 1024)^2 = {work:.3g}, above the bound "
+                          f"{EXPAND_WORK_MAX:.3g}")
+    _archimedean()
+    if claims is None:
         ts = shifted_expansion(spec, order, bits)
         payload = {
             "command": "expand",
@@ -426,13 +457,6 @@ def _run_expand(args: argparse.Namespace) -> tuple[int, dict, str]:
                  f"({bits} bits, coefficient error < {payload['error_bound']})"]
         lines += [f"  x^{k}: {c}" for k, c in enumerate(payload["coefficients"])]
         return EXIT_OK, payload, "\n".join(lines) + "\n"
-    claims = args.verify
-    if claims.series is not None and claims.series != spec.name:
-        raise SchemaError(f"claims {claims.name!r} are about series {claims.series!r}, "
-                          f"not {spec.name!r}")
-    if args.order not in (None, claims.order):
-        raise SchemaError(f"--order {args.order} differs from the order {claims.order} "
-                          f"of claims {claims.name!r}")
     report = verify_expansion(spec.scaled(claims.scale), claims.claims, claims.order, bits)
     payload = {
         "command": "expand",

@@ -16,16 +16,10 @@ from ._record import record
 from .errors import NegativeValuationSum, NonCoprimeModuli, PrecisionUnavailable
 
 
-def valuation(x: int | Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero integer or rational."""
-    if x == 0:
+def valuation(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer."""
+    if n == 0:
         raise ValueError("valuation of zero is undefined")
-    if isinstance(x, Fraction):
-        return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
-    return _int_valuation(x, p)
-
-
-def _int_valuation(n: int, p: int) -> int:
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -106,8 +100,8 @@ def reduce_rational(q: Fraction | int, p: int, m: int) -> PadicResidue:
     q = Fraction(q)
     if q == 0:
         return PadicResidue.exact_zero(p)
-    vn = _int_valuation(q.numerator, p)
-    vd = _int_valuation(q.denominator, p)
+    vn = valuation(q.numerator, p)
+    vd = valuation(q.denominator, p)
     pm = p**m
     num = abs(q.numerator) // p**vn * (1 if q.numerator > 0 else -1)
     den = q.denominator // p**vd
@@ -123,7 +117,7 @@ def kronecker(D: int, n: int) -> int:
         return 1
     result = 1
     # factor of 2: (D|2) = 0 for even D, +1 for D = +-1 (mod 8), -1 otherwise
-    e2 = _int_valuation(n, 2) if n % 2 == 0 else 0
+    e2 = valuation(n, 2) if n % 2 == 0 else 0
     if e2:
         if D % 2 == 0:
             return 0

@@ -48,11 +48,6 @@ def bernoulli_all_mod_p(p: int) -> tuple[int, ...]:
     return tuple(B)
 
 
-def zeta_nonpositive(s: int) -> Fraction:
-    """zeta(s) = L(s, chi_1) for s <= 0:  zeta(1-k) = -B_k/k, zeta(0) = -1/2."""
-    return L_nonpositive(QuadCharacter(1), s)
-
-
 DISC_MAX = 1000  # bound on |D|: an L_p digit costs O(|D| + p) at each prime
 
 

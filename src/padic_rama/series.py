@@ -1,9 +1,10 @@
-"""Data model and evaluators for Ramanujan-like hypergeometric series:
-exact terms, exact truncated sums over n = 0..p-1, and one integer
-recurrence, written once as the step triple of ``_step`` and combined only
-by the product tree ``_steps``, for both their residues modulo p^m at many
-primes (one tree per gap between primes) and the full sums (summed exactly
-and rounded once), to check against their closed forms.
+"""Data model and evaluators for Ramanujan-like hypergeometric series: one
+integer recurrence, written once as the step triple of ``_step`` and combined
+only by the product tree ``_steps``, gives both the truncated sums over
+n = 0..p-1 modulo p^m at many primes (one tree per gap between primes) and
+the full sums (summed exactly and rounded once), to check against their
+closed forms.  ``truncated_sum_exact`` sums the first p terms in Fractions,
+as the reference for the modular sums.
 """
 
 from __future__ import annotations
@@ -107,64 +108,25 @@ class SeriesSpec:
             return self
         return replace(self, multiplier=self.multiplier * scale)
 
-    def poly_at(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.poly):
-            acc = acc * x + c
-        return acc
-
-    def linear_at(self, n: Fraction | int) -> Fraction:
-        if self.denom_linear is None:
-            return Fraction(1)
-        alpha, beta = self.denom_linear
-        return alpha * n + beta
-
-    def hyper_ratio(self, n: int) -> Fraction:
-        """Ratio of consecutive hypergeometric parts (without P and the
-        linear denominator): sign * base * prod(a_i + n) / prod(b_j + n)."""
-        r = self.sign * self.base
-        for a in self.upper:
-            r *= a + n
-        for b in self.lower:
-            r /= b + n
-        return r
-
-
-def pochhammer(a: Fraction | int, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product is 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = Fraction(1)
-    a = Fraction(a)
-    for k in range(n):
-        out *= a + k
-    return out
-
-
-def term_exact(spec: SeriesSpec, n: int) -> Fraction:
-    """The n-th term, evaluated from the product formula."""
-    t = spec.multiplier * Fraction(spec.sign) ** n * spec.base**n
-    for a in spec.upper:
-        t *= pochhammer(a, n)
-    for b in spec.lower:
-        t /= pochhammer(b, n)
-    return t * spec.poly_at(n) / spec.linear_at(n)
-
 
 def truncated_sum_exact(spec: SeriesSpec, p: int) -> Fraction:
-    """Exact sum of the first p terms, with the incremental ratio update."""
-    total = Fraction(0)
-    h = spec.multiplier
+    """Exact sum of the first p terms in Fractions, read straight from the
+    series data: the reference that the modular sums are checked against."""
+    alpha, beta = spec.denom_linear or (0, 1)
+    total, h = Fraction(0), spec.multiplier  # h: term n without P(n)/(alpha n + beta)
     for n in range(p):
-        total += h * spec.poly_at(n) / spec.linear_at(n)
-        if n < p - 1:
-            h *= spec.hyper_ratio(n)
+        total += h * sum(c * n**i for i, c in enumerate(spec.poly)) / (alpha * n + beta)
+        h *= (spec.sign * spec.base * math.prod(a + n for a in spec.upper)
+              / math.prod(b + n for b in spec.lower))
     return total
 
 
 def _integer_factors(spec: SeriesSpec):
-    """Integer polynomials num, den, a, b and a rational c with
-    hyper_ratio(n) = num(n)/den(n) and poly_at(n)/linear_at(n) = c*a(n)/b(n)."""
+    """Integer polynomials num, den, a, b and a rational c such that term n
+    of the series is c * a(n)/b(n) * prod_{k<n} num(k)/den(k): num(n)/den(n)
+    is the ratio sign * base * prod (a_i + n) / prod (b_j + n) of the
+    hypergeometric parts, and c * a(n)/b(n) is multiplier * P(n) /
+    (alpha*n + beta), with a and b cleared of denominators."""
     num_k = spec.sign * spec.base.numerator * math.prod(b.denominator for b in spec.lower)
     den_k = spec.base.denominator * math.prod(a.denominator for a in spec.upper)
     upper = [(a.numerator, a.denominator) for a in spec.upper]

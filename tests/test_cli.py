@@ -73,8 +73,8 @@ class TestParsing:
     def test_template_round_trip(self, name):
         path = resolve_input(name)
         original = json.loads(Path(path).read_text())
-        got = serialize_template(parse_template(path), name=original.get("name", ""))
-        assert got == original
+        original.pop("name", None)  # a template's name is not read
+        assert serialize_template(parse_template(path)) == original
 
     def test_base_above_one_rejected(self, tmp_path):
         data = json.loads((FIXDIR / "eq2.json").read_text())
@@ -676,6 +676,43 @@ def test_huge_discriminant_exits_at_parse(tmp_path, command, document, where):
         f"error: bad.json:{where}: discriminant: must be within -1000..1000\n")
 
 
+@pytest.mark.parametrize("base, argv, message", [
+    ("999/1000", ["sum-check", "--prec", "128"],
+     "sum-check at base 999/1000 and --prec 128 sums about 88678 terms, "
+     "above the bound 65536"),
+    ("99999/100000", ["sum-check", "--prec", "128"],
+     "sum-check at base 99999/100000 and --prec 128 sums about 8872240 terms, "
+     "above the bound 65536"),
+    ("999/1000", ["expand"],
+     "expand at base 999/1000, --prec 256 and --order 5 sums about 177357 terms: "
+     "terms * (order + 1) * max(prec, 1024)^2 = 1.12e+12, above the bound 3.44e+10"),
+    ("1/4", ["expand", "--order", "0", "--prec", "16000"],
+     "expand at base 1/4, --prec 16000 and --order 0 sums about 8000 terms: "
+     "terms * (order + 1) * max(prec, 1024)^2 = 2.05e+12, above the bound 3.44e+10"),
+], ids=["sum-check-base-999", "sum-check-base-99999", "expand-base-999",
+        "expand-16000-bits"])
+def test_runaway_sums_exit_before_summing(tmp_path, base, argv, message):
+    # each of these ran for minutes: the summed terms grow as prec / -log2(base)
+    data = json.loads((FIXDIR / "eq2.json").read_text())
+    data.update(base=base, sign=1)
+    spec = tmp_path / "slow.json"
+    spec.write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "padic_rama.cli", *argv,
+                           "--spec", str(spec)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_sum_bounds_admit_the_largest_shipped_runs():
+    # CI's sum-check of eq6 at the top of the --prec range, and the largest
+    # expand of the benchmark goldens, sit below their bounds
+    eq6 = parse_series(resolve_input("eq6"))
+    assert 52_000 < cli._terms(eq6, 65536) <= cli.SUM_TERMS_MAX
+    assert cli._terms(eq6, 1024) * 9 * 1024**2 <= cli.EXPAND_WORK_MAX
+
+
 def test_congruence_needs_a_prime(capsys):
     argv = ["congruence", "--spec", "eq2", "--template", "eq5", "--primes", "4..4"]
     assert main(argv) == EXIT_USAGE
@@ -775,3 +812,26 @@ def test_only_cli_renders_reports():
                 continue
             assert "as_dict" not in names, path.name
             assert "to_decimal" not in names or path.name == "cli.py", path.name
+
+
+def test_test_routes_live_in_the_oracles():
+    # the library defines none of the routes that only tests call, and
+    # tests/oracles.py imports no private name of the library it checks
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    test_routes = {"pochhammer", "term_exact", "poly_at", "linear_at", "hyper_ratio",
+                   "zeta_nonpositive"}
+    for path in modules:
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & test_routes, path.name
+    imports = []
+    for node in ast.walk(ast.parse(Path(__file__).with_name("oracles.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "padic_rama":
+            names = [*node.module.split("."), *(a.name for a in node.names)]
+            imports.append((node, names))
+        elif isinstance(node, ast.Import):
+            imports += [(node, a.name.split(".")) for a in node.names
+                        if a.name.split(".")[0] == "padic_rama"]
+    assert len(imports) > 3
+    for node, names in imports:
+        assert not any(name.startswith("_") for name in names), ast.unparse(node)

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -19,7 +18,13 @@ from padic_rama.expansion import (
 from padic_rama.lattice import lll_reduce
 from padic_rama.series import numeric_sum
 
-from lll_reference import gram_schmidt, is_lll_reduced, reference_lll
+from oracles import (
+    TAYLOR_ORDERS,
+    gram_schmidt,
+    is_lll_reduced,
+    reference_lll,
+    taylor_ratios,
+)
 
 F = Fraction
 
@@ -177,37 +182,6 @@ class TestConstantValue:
             SqrtDisc(1)
 
 
-def _x_extended_sum(spec, x):
-    """The series with every index n shifted to n + x, summed directly:
-    mult * sum_n sign^n base^(n+x) prod (a)_(n+x) / prod (b)_(n+x)
-    * P(n+x) / (alpha (n+x) + beta), with (a)_x = rf(a, x) and the term
-    ratio stepped in mpf.  The term count is fixed in advance: base^n falls
-    64 bits below the working precision, and for every shipped series the
-    rest of a term shrinks with n."""
-    def q(r):
-        return mpf(r.numerator) / r.denominator
-
-    upper, lower = [q(a) for a in spec.upper], [q(b) for b in spec.lower]
-    poly = [q(c) for c in reversed(spec.poly)]
-    alpha, beta = (q(c) for c in spec.denom_linear or (F(0), F(1)))
-    h = q(spec.multiplier) * q(spec.base) ** x
-    for a in upper:
-        h *= mp.rf(a, x)
-    for b in lower:
-        h /= mp.rf(b, x)
-    total = mp.zero
-    for n in range(int((mp.prec + 64) / -math.log2(spec.base)) + 1):
-        y = n + x
-        total += h * mp.polyval(poly, y) / (alpha * y + beta)
-        num, den = spec.sign * q(spec.base), mp.one
-        for a in upper:
-            num *= a + y
-        for b in lower:
-            den *= b + y
-        h = h * num / den
-    return total
-
-
 class TestShiftedExpansion:
     def test_degree_zero_matches_numeric_sum(self, series):
         for spec in series.values():
@@ -258,18 +232,12 @@ class TestShiftedExpansion:
             fd = (extended(h) - extended(-h)) / (2 * h)
             assert abs(ts.coeffs[1] - fd) < mpf(2) ** -100
 
-    @pytest.mark.parametrize("name, K", [("eq2", 5), ("eq6", 8), ("eq9", 5),
-                                         ("gourevitch", 7), ("eq15", 3)])
+    @pytest.mark.parametrize("name, K", TAYLOR_ORDERS.items())
     def test_every_coefficient_matches_the_taylor_oracle(self, series, name, K):
-        # an independent route: mp.taylor of the x-extended sum at twice the bits,
-        # with no digamma, Hurwitz zeta, TruncatedSeries or tail rule; each
+        # an independent route at 128 bits (oracles.py runs it at 256): each
         # coefficient lies within twice the stated error bound
-        spec, bits = series[name], 128
-        ts = shifted_expansion(spec, K, bits)
-        with mp.workprec(2 * bits):
-            oracle = mp.taylor(lambda x: _x_extended_sum(spec, x), 0, K)
-            for k, (got, want) in enumerate(zip(ts.coeffs, oracle)):
-                assert abs(got - want) <= 2 * ts.error_bound, (name, k)
+        ratios = taylor_ratios(series[name], K, 128)
+        assert all(r <= 2 for r in ratios), (name, ratios)
 
 
 class TestRecognize:

@@ -17,9 +17,10 @@ from padic_rama.lfunctions import (
     bernoulli_exact,
     generalized_bernoulli,
     parity_zero,
-    zeta_nonpositive,
     zeta_p_mod_p,
 )
+
+from oracles import power_sum_bernoulli, zeta_nonpositive
 
 CHI5 = QuadCharacter(5)
 CHI4 = QuadCharacter(-4)
@@ -305,24 +306,6 @@ class TestDigitOracles:
                 z = -sympy.bernoulli(m) / m
                 want = int(z.p) * pow(int(z.q), -1, p) % p
                 assert zeta_p_mod_p(k, p) == want, (k, p)
-
-
-def power_sum_bernoulli(D, m, p):
-    """B_{m,chi} mod p from sum_{a<=fp} chi(a) a^m = f p B_{m,chi} (mod p^2),
-    split as a = b + p j, with a ``pow`` at every b < p: the route the
-    multiplicative sieve of ``lfunctions._bernoulli_chi_mod_p`` replaced,
-    kept here as its oracle."""
-    f, pp = abs(D), p * p
-    chi = [kronecker(D, r or f) for r in range(f)]
-    whole = sum(chi)
-    weight = [sum(j * chi[p * j % f] for j in range(f))] * f
-    s = 0
-    for _ in range(f - 1):
-        weight[(s + p) % f] = weight[s] - whole + f * chi[s]
-        s = (s + p) % f
-    total = sum((whole * b + m * p * weight[b % f]) * pow(b, m - 1, pp)
-                for b in range(1, p))
-    return total % pp // p * pow(f, -1, p) % p
 
 
 def _digit(D, k, p):
