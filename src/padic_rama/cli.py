@@ -66,7 +66,9 @@ PRIME_MAX = 10**6        # top of --primes; the prime sieve allocates that many 
 SERIES_LIST_MAX = 32     # entries of a series' upper, lower and poly lists
 # Bounds on the terms a full sum adds, about prec / -log2(base) (``_terms``).
 # A term of ``expand`` costs about the same below 1024 bits, where the
-# interpreter's overhead dominates, and more than linearly more above.
+# interpreter's overhead dominates, and more than linearly more above: eq2 at
+# order 5 took 0.38, 0.44, 0.69, 0.90 and 4.3 ms a term at 256 to 4096 bits
+# on a 2-vCPU host, the last where mpmath's log leaves Taylor series for AGM.
 SUM_TERMS_MAX = 2**16    # sum-check: terms
 EXPAND_WORK_MAX = 2**35  # expand: terms * (order + 1) * max(prec, 1024)^2
 

@@ -9,9 +9,12 @@ exp(G_n(x)) * P(n+x) / (alpha(n+x)+beta) with
     log(a+n+x) = log(a+n) + sum_{k>=1} (-1)^{k+1} x^k / (k (a+n)^k),
 
 only the n = 0 base case needs digamma / Hurwitz-zeta values.  Each later
-term costs one log(a+n) and K powers (a+n)^k per distinct parameter a (the
-lists repeat parameters, so this is 2 of 10 for eq2), K + 1 additions per
-listed parameter, one truncated exponential and O(K^2) series products.
+term steps raw ``mpmath.libmp`` values, no mpf object, rounding where mpf
+arithmetic would: per distinct parameter a (2 of 10 for eq2) one log(a+n)
+and K powers, integer products and reciprocals; K + 1 additions per listed
+parameter; an exp, K products j*G_j and K(K+1)/2 products for exp(G_n); at
+most (deg P + 1)(K + 1) by P(n+x); 2K for 1/(alpha(n+x)+beta) and
+(K+1)(K+2)/2 by it; and four norms.  Products with an exact zero are skipped.
 ``verify_expansion`` returns an ``ExpansionReport`` of mpf values that
 ``cli`` renders.
 """
@@ -20,10 +23,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import (MPZ_ONE, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+                          mpf_exp, mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pow_int, mpf_rdiv_int, mpf_sub, round_nearest)
 
 from ._record import record
 from .constants import ConstantTag, constant_value, to_mpf
@@ -32,6 +39,92 @@ from .lattice import lll_reduce
 from .series import SeriesSpec
 
 _WORK_GUARD = 64
+_N = round_nearest
+_ONE = from_int(1)
+_BY_VALUE = cmp_to_key(mpf_cmp)
+
+# The ring R[x]/(x^{K+1}) on raw libmp values at precision p, rounding to
+# nearest: each function performs the roundings of the mpf expression that it
+# replaces, in its order.  Adding to or from an mpf zero rounds nothing more.
+
+
+def _eps(factor: int, p: int) -> tuple:
+    """factor * mp.eps."""
+    return mpf_mul_int((0, MPZ_ONE, 1 - p, 1), factor, p, _N)
+
+
+def _q(q: Fraction, p: int) -> tuple:
+    """to_mpf(q): mpf(numerator) / denominator."""
+    return mpf_div(from_int(q.numerator, p, _N), from_int(q.denominator), p, _N)
+
+
+def _norm1(cs, p: int) -> tuple:
+    """sum(abs(c) for c in cs)."""
+    acc = fzero
+    for c in cs:
+        if c[1]:
+            c = (0, c[1], c[2], c[3]) if c[3] <= p else mpf_abs(c, p, _N)
+            acc = mpf_add(acc, c, p, _N) if acc[1] else c
+    return acc
+
+
+def _conv(u, v, k: int, p: int) -> tuple:
+    """The sum of u[j] * v[k - j] over j = 1..k, from an mpf zero."""
+    s = fzero
+    for j in range(1, k + 1):
+        x, y = u[j], v[k - j]
+        if x[1] and y[1]:
+            t = mpf_mul(x, y, p, _N)
+            s = mpf_add(s, t, p, _N) if s[1] else t
+    return s
+
+
+def _add(a, b, ea, eb, p: int):
+    return [mpf_add(x, y, p, _N) for x, y in zip(a, b)], mpf_add(ea, eb, p, _N)
+
+
+def _mul(a, b, ea, eb, na, nb, p: int):
+    """a * b and its error, from the norms na = |a|_1 and nb = |b|_1."""
+    K = len(a) - 1
+    out = [fzero] * (K + 1)
+    for i, x in enumerate(a):
+        if x[1]:
+            for j, y in enumerate(b[:K + 1 - i], i):
+                if y[1]:
+                    t, s = mpf_mul(x, y, p, _N), out[j]
+                    out[j] = mpf_add(s, t, p, _N) if s[1] else t
+    err = mpf_add(mpf_mul(ea, mpf_add(nb, eb, p, _N), p, _N), mpf_mul(eb, na, p, _N), p, _N)
+    return out, mpf_add(err, mpf_mul(mpf_mul(_eps(K + 1, p), na, p, _N), nb, p, _N), p, _N)
+
+
+def _scale(a, ea, na, s, p: int):
+    """s * a and its error, from the norm na = |a|_1."""
+    m = mpf_abs(s, p, _N)
+    err = mpf_add(mpf_mul(ea, m, p, _N), mpf_mul(mpf_mul(_eps(1, p), m, p, _N), na, p, _N), p, _N)
+    return [mpf_mul(x, s, p, _N) for x in a], err
+
+
+def _recip(a, ea, p: int):
+    """1/a for a[0] != 0, its error and its norm."""
+    out = [mpf_rdiv_int(1, a[0], p, _N)] + [fzero] * (len(a) - 1)
+    for k in range(1, len(a)):
+        out[k] = mpf_mul(mpf_neg(_conv(a, out, k, p), p, _N), out[0], p, _N)
+    n = _norm1(out, p)
+    err = mpf_mul(mpf_mul(_eps(len(a), p), n, p, _N), mpf_add(n, _ONE, p, _N), p, _N)
+    return out, mpf_add(mpf_mul(mpf_mul(ea, n, p, _N), n, p, _N), err, p, _N), n
+
+
+def _exp(a, ea, p: int):
+    """exp(a), splitting off the constant term, its error and its norm."""
+    ja = [mpf_mul_int(c, j, p, _N) for j, c in enumerate(a)]  # j * a[j], once
+    out = [_ONE] + [fzero] * (len(a) - 1)
+    for k in range(1, len(a)):
+        out[k] = mpf_div(_conv(ja, out, k, p), from_int(k), p, _N)
+    lead = mpf_exp(a[0], p, _N)
+    out = [mpf_mul(c, lead, p, _N) for c in out]
+    n = _norm1(out, p)
+    err = mpf_mul(mpf_mul(ea, n, p, _N), mpf_add(ea, _ONE, p, _N), p, _N)
+    return out, mpf_add(err, mpf_mul(_eps(len(a), p), n, p, _N), p, _N), n
 
 
 @record
@@ -49,109 +142,67 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def norm1(self) -> mpf:
-        return sum(abs(c) for c in self.coeffs)
+        return mp.make_mpf(_norm1(self._raw()[0], mp.prec))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._align(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.error_bound + other.error_bound,
-        )
+        (a, ea), (b, eb) = self._raw(), other._raw()
+        return _series(*_add(a, b, ea, eb, mp.prec))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._align(other)
-        K = self.order
-        out = [mp.zero] * (K + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(K + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        na, nb = self.norm1(), other.norm1()
-        err = (
-            self.error_bound * (nb + other.error_bound)
-            + other.error_bound * na
-            + (K + 1) * mp.eps * na * nb
-        )
-        return TruncatedSeries(tuple(out), err)
+        (a, ea), (b, eb), p = self._raw(), other._raw(), mp.prec
+        return _series(*_mul(a, b, ea, eb, _norm1(a, p), _norm1(b, p), p))
 
     def scale(self, s: mpf) -> "TruncatedSeries":
-        s = mpf(s)
-        return TruncatedSeries(
-            tuple(c * s for c in self.coeffs),
-            self.error_bound * abs(s) + mp.eps * abs(s) * self.norm1(),
-        )
+        (a, ea), p = self._raw(), mp.prec
+        return _series(*_scale(a, ea, _norm1(a, p), mpf(s)._mpf_, p))
 
     def recip(self) -> "TruncatedSeries":
         """1/self; the constant term must be nonzero."""
         if self.coeffs[0] == 0:
             raise ZeroDivisionError("reciprocal of a series with zero constant term")
-        K = self.order
-        out = [mp.zero] * (K + 1)
-        out[0] = 1 / self.coeffs[0]
-        for k in range(1, K + 1):
-            s = mp.zero
-            for j in range(1, k + 1):
-                s += self.coeffs[j] * out[k - j]
-            out[k] = -s * out[0]
-        res = TruncatedSeries(tuple(out), mp.zero)
-        nr = res.norm1()
-        err = self.error_bound * nr * nr + (K + 1) * mp.eps * nr * (1 + nr)
-        return TruncatedSeries(res.coeffs, err)
+        return _series(*_recip(*self._raw(), mp.prec)[:2])
 
     def exp(self) -> "TruncatedSeries":
         """exp(self), splitting off the constant term."""
-        K = self.order
-        lead = mp.exp(self.coeffs[0])
-        out = [mp.one] + [mp.zero] * K
-        for k in range(1, K + 1):
-            s = mp.zero
-            for j in range(1, k + 1):
-                s += j * self.coeffs[j] * out[k - j]
-            out[k] = s / k
-        res = TruncatedSeries(tuple(c * lead for c in out), mp.zero)
-        ne = res.norm1()
-        err = self.error_bound * ne * (1 + self.error_bound) + (K + 1) * mp.eps * ne
-        return TruncatedSeries(res.coeffs, err)
+        return _series(*_exp(*self._raw(), mp.prec)[:2])
+
+    def _raw(self) -> tuple[list, tuple]:
+        return [c._mpf_ for c in self.coeffs], self.error_bound._mpf_
 
     def _align(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError("mixed truncation orders")
 
     @classmethod
-    def constant(cls, value: mpf, K: int) -> "TruncatedSeries":
-        return cls((mpf(value),) + (mp.zero,) * K, mp.zero)
-
-    @classmethod
     def from_coeffs(cls, coeffs: Sequence[mpf]) -> "TruncatedSeries":
         return cls(tuple(mpf(c) for c in coeffs), mp.zero)
 
 
-def _poly_shift(poly: Sequence[Fraction], n: int, K: int) -> list[Fraction]:
-    """Coefficients of P(n + x) in x, truncated at degree K, exactly."""
-    out = [Fraction(0)] * (K + 1)
-    for d, c in enumerate(poly):
-        if c == 0:
-            continue
-        for j in range(min(d, K) + 1):
-            out[j] += c * comb(d, j) * Fraction(n) ** (d - j)
-    return out
+def _series(coeffs, err) -> TruncatedSeries:
+    return TruncatedSeries(tuple(map(mp.make_mpf, coeffs)), mp.make_mpf(err))
 
 
-def _add_per_parameter(G: list, spec: SeriesSpec, first: int, values) -> None:
-    """G[first + i] += values(a)[i] for each upper parameter a, then
-    G[first + i] -= values(b)[i] for each lower parameter b, in list order;
-    ``values`` runs once per distinct parameter, since the lists repeat
+def _poly_shift(poly: Sequence[Fraction], K: int):
+    """n -> the coefficients of P(n + x) in x through x^K, exactly."""
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [(d, int(c * den)) for d, c in enumerate(poly) if c]
+    return lambda n: [Fraction(sum(c * comb(d, j) * n ** (d - j) for d, c in ints if d >= j), den)
+                      for j in range(K + 1)]
+
+
+def _add_per_parameter(G: list, first: int, values: list, upper, lower, p: int) -> None:
+    """G[first + i] += values[u][i] for each index u in ``upper``, then
+    G[first + i] -= values[b][i] for each index b in ``lower``, in list order:
+    ``values`` holds one list per distinct parameter, since the lists repeat
     parameters (eq2 has five 1/2 and five 1)."""
-    cache = {a: values(a) for a in dict.fromkeys((*spec.upper, *spec.lower))}
-    for a in spec.upper:
-        for k, v in enumerate(cache[a], first):
-            G[k] += v
-    for b in spec.lower:
-        for k, v in enumerate(cache[b], first):
-            G[k] -= v
+    for u in upper:
+        for k, v in enumerate(values[u], first):
+            G[k] = mpf_add(G[k], v, p, _N)
+    for b in lower:
+        for k, v in enumerate(values[b], first):
+            G[k] = mpf_sub(G[k], v, p, _N)
 
 
 def shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> TruncatedSeries:
@@ -166,59 +217,72 @@ def shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> Truncate
         raise ValueError("K must be >= 0")
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    with mp.workprec(precision_bits + _WORK_GUARD):
-        target = mpf(2) ** (-precision_bits)
-        base_m = to_mpf(spec.base)
-        logbase = mp.log(base_m)
-        mult = to_mpf(spec.multiplier)
+    p = precision_bits + _WORK_GUARD
+    with mp.workprec(p):
+        target = mpf_pow_int(from_int(2), -precision_bits, p, _N)
+        base_m = _q(spec.base, p)
+        logbase = mpf_log(base_m, p, _N)
+        mult = _q(spec.multiplier, p)
+        signed = (mpf_mul_int(mult, 1, p, _N), mpf_mul_int(mult, -1, p, _N))
+        abs_mult = mpf_abs(mult, p, _N)
+        params = list(dict.fromkeys((*spec.upper, *spec.lower)))
+        q = [_q(a, p) for a in params]
+        upper, lower = ([params.index(a) for a in ab] for ab in (spec.upper, spec.lower))
+        poly_at = _poly_shift(spec.poly, K)
 
-        # G_0(x): digamma / Hurwitz-zeta data of the shifted rising factorials
-        G = [mp.zero] * (K + 1)
+        # G_0(x): digamma / Hurwitz-zeta data of the shifted rising factorials,
+        # in mpf and with more bits than p: the first addition into G rounds them
+        G = [fzero] * (K + 1)
 
         def base_case(a):  # the x^1..x^K coefficients of log Gamma(a + x)
             am = to_mpf(a)
-            return [mp.digamma(am)] + [(-1) ** k * mp.zeta(k, am) / k
-                                       for k in range(2, K + 1)]
+            return [mp.digamma(am)._mpf_] + [((-1) ** k * mp.zeta(k, am) / k)._mpf_
+                                             for k in range(2, K + 1)]
 
-        def shift(a):  # the x^0..x^K coefficients of log(a + n + x)
-            an = to_mpf(a) + n
-            return [mp.log(an)] + [(-1) ** (k + 1) / (k * an**k) for k in range(1, K + 1)]
+        def shift(i):  # the x^0..x^K coefficients of log(a + n + x), a = params[i]
+            an = mpf_add(q[i], from_int(n), p, _N)
+            return [mpf_log(an, p, _N)] + [
+                mpf_rdiv_int((-1) ** (k + 1), mpf_mul_int(mpf_pow_int(an, k, p, _N), k, p, _N),
+                             p, _N) for k in range(1, K + 1)]
 
         if K >= 1:
-            _add_per_parameter(G, spec, 1, base_case)
-            G[1] += logbase
+            _add_per_parameter(G, 1, [base_case(a) for a in params], upper, lower, p)
+            G[1] = mpf_add(G[1], logbase, p, _N)
 
-        total = TruncatedSeries.constant(mp.zero, K)
+        total, total_err = [fzero] * (K + 1), fzero
         prev_norm = None
         n = 0
         while True:
-            H = TruncatedSeries(tuple(G), mp.zero).exp()
-            term = H * TruncatedSeries.from_coeffs(
-                [to_mpf(c) for c in _poly_shift(spec.poly, n, K)]
-            )
+            H, err, nh = _exp(G, fzero, p)
+            P = [_q(c, p) for c in poly_at(n)]
+            term, err = _mul(H, P, err, fzero, nh, _norm1(P, p), p)
             if spec.denom_linear is not None:
                 alpha, beta = spec.denom_linear
-                lin = [to_mpf(alpha * n + beta)] + (
-                    [to_mpf(alpha)] + [mp.zero] * (K - 1) if K >= 1 else []
-                )
-                term = term * TruncatedSeries.from_coeffs(lin).recip()
-            sgn = 1 if (spec.sign == 1 or n % 2 == 0) else -1
-            total = total + term.scale(sgn * mult)
+                lin = ([_q(alpha * n + beta, p), _q(alpha, p)] + [fzero] * (K - 1))[:K + 1]
+                R, err_r, nr = _recip(lin, fzero, p)
+                term, err = _mul(term, R, err, err_r, _norm1(term, p), nr, p)
+            s = signed[spec.sign == -1 and n % 2 == 1]
+            scaled, err = _scale(term, err, _norm1(term, p), s, p)
+            total, total_err = _add(total, scaled, total_err, err, p)
 
-            norm = max(abs(c) for c in term.coeffs)
-            rho = base_m if (prev_norm in (None, 0) or norm == 0) else norm / prev_norm
-            r_star = max(base_m, rho) * (1 + mpf(8) / (n + 1))
+            norm = max(((0, *c[1:]) for c in term), key=_BY_VALUE)  # max(abs(c) ...)
+            rho = (base_m if prev_norm in (None, fzero) or not norm[1]
+                   else mpf_div(norm, prev_norm, p, _N))
+            inflate = mpf_add(mpf_div(from_int(8), from_int(n + 1), p, _N), _ONE, p, _N)
+            r_star = mpf_mul(rho if mpf_gt(rho, base_m) else base_m, inflate, p, _N)
             # a zero term (a root of P at order 0) bounds nothing
-            if r_star < 1 and (norm != 0 or spec.vanishes):
-                tail = abs(mult) * norm * r_star / (1 - r_star)
-                if tail < target:
-                    rounding = (n + 1) * (K + 1) * mp.eps * (total.norm1() + 1)
-                    bound = tail + rounding + total.error_bound
-                    return TruncatedSeries(tuple(+c for c in total.coeffs), +bound)
+            if mpf_lt(r_star, _ONE) and (norm[1] or spec.vanishes):
+                tail = mpf_div(mpf_mul(mpf_mul(abs_mult, norm, p, _N), r_star, p, _N),
+                               mpf_sub(_ONE, r_star, p, _N), p, _N)
+                if mpf_lt(tail, target):
+                    rounding = mpf_mul(_eps((n + 1) * (K + 1), p),
+                                       mpf_add(_norm1(total, p), _ONE, p, _N), p, _N)
+                    bound = mpf_add(mpf_add(tail, rounding, p, _N), total_err, p, _N)
+                    return _series(total, bound)
 
             # advance G by one index shift
-            _add_per_parameter(G, spec, 0, shift)
-            G[0] += logbase
+            _add_per_parameter(G, 0, [shift(i) for i in range(len(params))], upper, lower, p)
+            G[0] = mpf_add(G[0], logbase, p, _N)
             prev_norm = norm
             n += 1
 

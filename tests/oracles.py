@@ -16,9 +16,15 @@ each one starts again from the public series data, characters and mpmath.
 - ``reference_lll``: the textbook LLL in Fractions.
 - ``taylor_ratios``: ``shifted_expansion`` against ``mp.taylor`` of the
   x-extended sum.
+- ``reference_shifted_expansion``: ``shifted_expansion`` in mpf objects, one
+  mpmath operator per rounding (``ReferenceSeries``), which the library's
+  libmp kernel must match bit for bit.
+- ``l_value_polylog``: L(k, chi_D) from polylogarithms at the roots of unity,
+  for the ``l`` constants.
 
 Run as a script, it holds every shipped series' expansion against the Taylor
-oracle at 256 bits and prints the time of each:
+oracle at 256 bits, and eq6 at order 8 and 1024 bits and eq15 at order 6 and
+2048 bits against the mpf-object reference, and prints the time of each:
 
     PYTHONPATH=src python tests/oracles.py
 """
@@ -211,6 +217,26 @@ def power_sum_bernoulli(D: int, m: int, p: int) -> int:
     return total % pp // p * pow(f, -1, p) % p
 
 
+
+# ---------------------------------------------------------------------------
+# quadratic L-values
+
+
+def l_value_polylog(D: int, k: int) -> mpf:
+    """L(k, chi_D) for a fundamental discriminant D != 1 at the working
+    precision, as tau^-1 sum_{0<a<f} chi(a) Li_k(e^(2 pi i a/f)) with f = |D|
+    and the Gauss sum tau = sqrt(f) for D > 0, i sqrt(f) for D < 0.  It holds
+    at either parity of k, and mpmath sums Li_k on the unit circle from a
+    series in log z (``polylog_unitcircle``), sharing nothing with the Hurwitz
+    zeta and digamma values of ``constants``."""
+    f = abs(D)
+    with mp.workprec(mp.prec + 20):
+        s = mp.fsum(kronecker(D, a) * mp.polylog(k, mp.expjpi(mpf(2 * a) / f))
+                    for a in range(1, f) if kronecker(D, a))
+        tau = mp.sqrt(f) if D > 0 else mp.mpc(0, mp.sqrt(f))
+        value = mp.re(s / tau)
+    return +value
+
 # ---------------------------------------------------------------------------
 # LLL
 
@@ -329,10 +355,182 @@ def taylor_ratios(spec: SeriesSpec, K: int, bits: int) -> list[mpf]:
         return [abs(got - want) / ts.error_bound for got, want in zip(ts.coeffs, oracle)]
 
 
+# ---------------------------------------------------------------------------
+# the x-shift expansion in mpf objects
+
+
+def rational_mpf(q: Fraction | int) -> mpf:
+    """mpf(numerator) / denominator at the ambient working precision."""
+    q = Fraction(q)
+    return mpf(q.numerator) / q.denominator
+
+
+class ReferenceSeries:
+    """A truncated x-series in mpf objects, one mpmath operator per rounding:
+    ``padic_rama.expansion`` performs the same roundings on raw libmp values,
+    so the two must agree bit for bit."""
+
+    def __init__(self, coeffs: Sequence[mpf], error_bound: mpf):
+        self.coeffs, self.error_bound = tuple(coeffs), error_bound
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def norm1(self) -> mpf:
+        return sum(abs(c) for c in self.coeffs)
+
+    def __add__(self, other: "ReferenceSeries") -> "ReferenceSeries":
+        return ReferenceSeries(
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            self.error_bound + other.error_bound,
+        )
+
+    def __mul__(self, other: "ReferenceSeries") -> "ReferenceSeries":
+        K = self.order
+        out = [mp.zero] * (K + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j in range(K + 1 - i):
+                b = other.coeffs[j]
+                if b != 0:
+                    out[i + j] += a * b
+        na, nb = self.norm1(), other.norm1()
+        err = (
+            self.error_bound * (nb + other.error_bound)
+            + other.error_bound * na
+            + (K + 1) * mp.eps * na * nb
+        )
+        return ReferenceSeries(tuple(out), err)
+
+    def scale(self, s: mpf) -> "ReferenceSeries":
+        s = mpf(s)
+        return ReferenceSeries(
+            tuple(c * s for c in self.coeffs),
+            self.error_bound * abs(s) + mp.eps * abs(s) * self.norm1(),
+        )
+
+    def recip(self) -> "ReferenceSeries":
+        K = self.order
+        out = [mp.zero] * (K + 1)
+        out[0] = 1 / self.coeffs[0]
+        for k in range(1, K + 1):
+            s = mp.zero
+            for j in range(1, k + 1):
+                s += self.coeffs[j] * out[k - j]
+            out[k] = -s * out[0]
+        res = ReferenceSeries(tuple(out), mp.zero)
+        nr = res.norm1()
+        err = self.error_bound * nr * nr + (K + 1) * mp.eps * nr * (1 + nr)
+        return ReferenceSeries(res.coeffs, err)
+
+    def exp(self) -> "ReferenceSeries":
+        K = self.order
+        lead = mp.exp(self.coeffs[0])
+        out = [mp.one] + [mp.zero] * K
+        for k in range(1, K + 1):
+            s = mp.zero
+            for j in range(1, k + 1):
+                s += j * self.coeffs[j] * out[k - j]
+            out[k] = s / k
+        res = ReferenceSeries(tuple(c * lead for c in out), mp.zero)
+        ne = res.norm1()
+        err = self.error_bound * ne * (1 + self.error_bound) + (K + 1) * mp.eps * ne
+        return ReferenceSeries(res.coeffs, err)
+
+
+def poly_shift(poly: Sequence[Fraction], n: int, K: int) -> list[Fraction]:
+    """Coefficients of P(n + x) in x, truncated at degree K, exactly."""
+    out = [Fraction(0)] * (K + 1)
+    for d, c in enumerate(poly):
+        if c == 0:
+            continue
+        for j in range(min(d, K) + 1):
+            out[j] += c * math.comb(d, j) * Fraction(n) ** (d - j)
+    return out
+
+
+def add_per_parameter(G: list, spec: SeriesSpec, first: int, values) -> None:
+    """G[first + i] += values(a)[i] for each upper parameter a, then
+    G[first + i] -= values(b)[i] for each lower parameter b, in list order."""
+    cache = {a: values(a) for a in dict.fromkeys((*spec.upper, *spec.lower))}
+    for a in spec.upper:
+        for k, v in enumerate(cache[a], first):
+            G[k] += v
+    for b in spec.lower:
+        for k, v in enumerate(cache[b], first):
+            G[k] -= v
+
+
+def reference_shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> ReferenceSeries:
+    """``padic_rama.expansion.shifted_expansion`` in mpf objects, one mpmath
+    operator per rounding: the library performs the same roundings on raw
+    libmp values, so every coefficient and the error bound must agree in
+    their ``_mpf_``."""
+    with mp.workprec(precision_bits + 64):
+        target = mpf(2) ** (-precision_bits)
+        base_m = rational_mpf(spec.base)
+        logbase = mp.log(base_m)
+        mult = rational_mpf(spec.multiplier)
+        G = [mp.zero] * (K + 1)
+
+        def base_case(a):  # the x^1..x^K coefficients of log Gamma(a + x)
+            am = rational_mpf(a)
+            return [mp.digamma(am)] + [(-1) ** k * mp.zeta(k, am) / k
+                                       for k in range(2, K + 1)]
+
+        def shift(a):  # the x^0..x^K coefficients of log(a + n + x)
+            an = rational_mpf(a) + n
+            return [mp.log(an)] + [(-1) ** (k + 1) / (k * an**k) for k in range(1, K + 1)]
+
+        if K >= 1:
+            add_per_parameter(G, spec, 1, base_case)
+            G[1] += logbase
+
+        total = ReferenceSeries((mp.zero,) * (K + 1), mp.zero)
+        prev_norm = None
+        n = 0
+        while True:
+            H = ReferenceSeries(tuple(G), mp.zero).exp()
+            term = H * ReferenceSeries(
+                [rational_mpf(c) for c in poly_shift(spec.poly, n, K)], mp.zero)
+            if spec.denom_linear is not None:
+                alpha, beta = spec.denom_linear
+                lin = [rational_mpf(alpha * n + beta)] + (
+                    [rational_mpf(alpha)] + [mp.zero] * (K - 1) if K >= 1 else []
+                )
+                term = term * ReferenceSeries(lin, mp.zero).recip()
+            sgn = 1 if (spec.sign == 1 or n % 2 == 0) else -1
+            total = total + term.scale(sgn * mult)
+
+            norm = max(abs(c) for c in term.coeffs)
+            rho = base_m if (prev_norm in (None, 0) or norm == 0) else norm / prev_norm
+            r_star = max(base_m, rho) * (1 + mpf(8) / (n + 1))
+            if r_star < 1 and (norm != 0 or spec.vanishes):
+                tail = abs(mult) * norm * r_star / (1 - r_star)
+                if tail < target:
+                    rounding = (n + 1) * (K + 1) * mp.eps * (total.norm1() + 1)
+                    bound = tail + rounding + total.error_bound
+                    return ReferenceSeries(tuple(+c for c in total.coeffs), +bound)
+
+            add_per_parameter(G, spec, 0, shift)
+            G[0] += logbase
+            prev_norm = norm
+            n += 1
+
+
+# the two largest expansions the bit-identity check runs as a script
+BIT_IDENTITY_CASES = (("eq6", 8, 1024), ("eq15", 6, 2048))
+
+
 def main() -> int:
-    """Every shipped series against the Taylor oracle at 256 bits: exit 1
-    unless each coefficient lies within twice its stated error bound."""
+    """Every shipped series against the Taylor oracle at 256 bits, and the
+    largest two expansions against ``reference_shifted_expansion``: exit 1
+    unless each coefficient lies within twice its stated error bound and the
+    library and the reference agree bit for bit."""
     from padic_rama.cli import parse_series, resolve_input
+    from padic_rama.expansion import shifted_expansion
 
     bits, failed = 256, False
     for name, K in TAYLOR_ORDERS.items():
@@ -341,6 +539,15 @@ def main() -> int:
         print(f"{name} order {K} at {bits} bits: largest |error| / bound "
               f"{mp.nstr(worst, 3)} ({time.perf_counter() - start:.1f} s)", flush=True)
         failed = failed or worst > 2
+    for name, K, bits in BIT_IDENTITY_CASES:
+        start = time.perf_counter()
+        spec = parse_series(resolve_input(name))
+        got, want = shifted_expansion(spec, K, bits), reference_shifted_expansion(spec, K, bits)
+        same = [c._mpf_ for c in got.coeffs] == [c._mpf_ for c in want.coeffs] \
+            and got.error_bound._mpf_ == want.error_bound._mpf_
+        print(f"{name} order {K} at {bits} bits: bit-identical to the mpf-object "
+              f"reference: {same} ({time.perf_counter() - start:.1f} s)", flush=True)
+        failed = failed or not same
     return 1 if failed else 0
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from padic_rama.constants import Lquad, PiPower, SqrtDisc, Zeta, constant_value
-from padic_rama.errors import InsufficientPrecision
+from padic_rama.errors import InsufficientPrecision, InvariantViolation
 from padic_rama.expansion import (
     ExpansionClaim,
     TruncatedSeries,
@@ -16,13 +16,15 @@ from padic_rama.expansion import (
     verify_expansion,
 )
 from padic_rama.lattice import lll_reduce
-from padic_rama.series import numeric_sum
+from padic_rama.series import ClosedForm, SeriesSpec, numeric_sum
 
 from oracles import (
     TAYLOR_ORDERS,
     gram_schmidt,
     is_lll_reduced,
+    l_value_polylog,
     reference_lll,
+    reference_shifted_expansion,
     taylor_ratios,
 )
 
@@ -149,6 +151,14 @@ class TestTruncatedSeriesRing:
                 TruncatedSeries.from_coeffs([1, 2]) * TruncatedSeries.from_coeffs([1])
 
 
+def _is_discriminant(D):
+    try:
+        Lquad(D, 1)
+    except (ValueError, InvariantViolation):
+        return False
+    return True
+
+
 class TestConstantValue:
     def test_zeta2_euler_identity(self):
         with mp.workprec(160):
@@ -165,6 +175,21 @@ class TestConstantValue:
             v = constant_value(SqrtDisc(5), 128)
             assert abs(v * v - 5) < mpf(2) ** -120
             assert mp.nstr(v, 8) == "2.236068"
+
+    def test_l_values_match_the_polylog_route(self, claims):
+        # every shipped l claim, and a seeded grid of |D| <= 60 and k <= 4
+        shipped = {(t.disc, t.k) for cf in claims.values() for cl in cf.claims
+                   for t in cl.constants if isinstance(t, Lquad)}
+        assert len(shipped) == 7
+        discs = [D for D in range(-60, 61) if _is_discriminant(D)]
+        rng = random.Random(13)
+        grid = {(rng.choice(discs), rng.randint(1, 4)) for _ in range(12)}
+        for D, k in sorted(shipped | grid):
+            got = constant_value(Lquad(D, k), 512)
+            with mp.workprec(512):
+                want = l_value_polylog(D, k)
+            with mp.workprec(600):
+                assert abs(got - want) <= abs(want) * mpf(2) ** -500, (D, k)
 
     def test_memo_returns_same_object(self):
         a = constant_value(Zeta(3), 128)
@@ -238,6 +263,75 @@ class TestShiftedExpansion:
         # coefficient lies within twice the stated error bound
         ratios = taylor_ratios(series[name], K, 128)
         assert all(r <= 2 for r in ratios), (name, ratios)
+
+
+def _raw(ts):
+    return [c._mpf_ for c in ts.coeffs], ts.error_bound._mpf_
+
+
+def _spec(**kw):
+    data = dict(name="t", upper=(F(1, 2),), lower=(F(1),), sign=1, base=F(1, 4),
+                poly=(F(1),), denom_linear=None, multiplier=F(1), rhs=ClosedForm(F(1)))
+    data.update(kw)
+    return SeriesSpec(**data)
+
+
+PARAMETERS = (F(1, 2), F(1), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6))
+
+
+@st.composite
+def small_specs(draw):
+    """Small valid series: repeated parameters, either sign, zeros in P, a
+    linear denominator or none, and multiplier 0 (every term vanishes) or not."""
+    m = draw(st.integers(1, 3))
+    params = st.lists(st.sampled_from(PARAMETERS), min_size=m, max_size=m)
+    deg = draw(st.integers(0, 3))
+    poly = [F(draw(st.integers(-3, 3))) for _ in range(deg)]
+    poly.append(F(draw(st.integers(-3, 3).filter(bool))) if deg else F(draw(st.integers(-3, 3))))
+    lin = draw(st.none() | st.tuples(st.sampled_from((F(0), F(1), F(2), F(1, 2))),
+                                       st.sampled_from((F(1), F(1, 3), F(-1, 2), F(3), F(-5, 3)))))
+    try:
+        return _spec(upper=tuple(draw(params)), lower=tuple(draw(params)),
+                     sign=draw(st.sampled_from((1, -1))),
+                     base=draw(st.sampled_from((F(1, 4), F(1, 16), F(27, 64), F(1, 2)))),
+                     poly=tuple(poly), denom_linear=lin,
+                     multiplier=draw(st.sampled_from((F(1), F(0), F(-3, 2), F(5, 7)))))
+    except InvariantViolation:
+        assume(False)
+
+
+class TestKernelMatchesReference:
+    """The libmp kernel of ``shifted_expansion`` against the same route in mpf
+    objects (``oracles.reference_shifted_expansion``): every coefficient and
+    the error bound agree in their ``_mpf_``."""
+
+    @pytest.mark.parametrize("K, bits", [(0, 128), (1, 192), (5, 512)])
+    def test_shipped_series(self, series, K, bits):
+        for spec in series.values():
+            got = _raw(shifted_expansion(spec, K, bits))
+            assert got == _raw(reference_shifted_expansion(spec, K, bits)), spec.name
+
+    @pytest.mark.parametrize("spec", [
+        _spec(multiplier=F(0)),
+        _spec(poly=(F(0),)),
+        _spec(sign=-1, poly=(F(1), F(0), F(-2)), multiplier=F(-3, 2)),
+        _spec(upper=(F(1, 2),) * 3, lower=(F(1),) * 3, denom_linear=(F(0), F(-1, 3))),
+        _spec(denom_linear=(F(2), F(-1)), poly=(F(0), F(1))),
+        _spec(lower=(F(1, 2),), base=F(27, 64)),
+    ], ids=["zero-multiplier", "zero-poly", "alternating", "constant-denominator",
+            "root-at-order-0", "cancelling-parameters"])
+    def test_edge_specs(self, spec):
+        # digamma and zeta return more bits than the working precision, which
+        # the first addition into G rounds: cancelling parameters show it
+        for K, bits in [(0, 64), (1, 64), (3, 128)]:
+            assert _raw(shifted_expansion(spec, K, bits)) == \
+                _raw(reference_shifted_expansion(spec, K, bits))
+
+    @given(small_specs(), st.integers(0, 4), st.sampled_from((64, 96, 160)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_specs(self, spec, K, bits):
+        assert _raw(shifted_expansion(spec, K, bits)) == \
+            _raw(reference_shifted_expansion(spec, K, bits))
 
 
 class TestRecognize:
