@@ -1,10 +1,11 @@
 """Data model and evaluators for Ramanujan-like hypergeometric series: one
 integer recurrence, written once as the step triple of ``_step`` and combined
 only by the product tree ``_steps``, gives both the truncated sums over
-n = 0..p-1 modulo p^m at many primes (one tree per gap between primes) and
-the full sums (summed exactly and rounded once), to check against their
-closed forms.  ``truncated_sum_exact`` sums the first p terms in Fractions,
-as the reference for the modular sums.
+n = 0..p-1 modulo p^m at many primes (one tree per gap between primes, with
+the state kept modulo the prime powers still to be read) and the full sums
+(summed exactly and rounded once), to check against their closed forms.
+``truncated_sum_exact`` sums the first p terms in Fractions, as the
+reference for the modular sums.
 """
 
 from __future__ import annotations
@@ -121,39 +122,63 @@ def truncated_sum_exact(spec: SeriesSpec, p: int) -> Fraction:
     return total
 
 
-def _integer_factors(spec: SeriesSpec):
-    """Integer polynomials num, den, a, b and a rational c such that term n
-    of the series is c * a(n)/b(n) * prod_{k<n} num(k)/den(k): num(n)/den(n)
-    is the ratio sign * base * prod (a_i + n) / prod (b_j + n) of the
-    hypergeometric parts, and c * a(n)/b(n) is multiplier * P(n) /
-    (alpha*n + beta), with a and b cleared of denominators."""
-    num_k = spec.sign * spec.base.numerator * math.prod(b.denominator for b in spec.lower)
-    den_k = spec.base.denominator * math.prod(a.denominator for a in spec.upper)
-    upper = [(a.numerator, a.denominator) for a in spec.upper]
-    lower = [(b.numerator, b.denominator) for b in spec.lower]
-    poly_den = math.lcm(*(c.denominator for c in spec.poly))
-    poly = [c.numerator * (poly_den // c.denominator) for c in reversed(spec.poly)]
-    alpha, beta = spec.denom_linear or (Fraction(0), Fraction(1))
-    lin_den = math.lcm(alpha.denominator, beta.denominator)
-    lin = (alpha.numerator * (lin_den // alpha.denominator),
-           beta.numerator * (lin_den // beta.denominator))
+def _distinct(params: tuple[Fraction, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(u, w, e) for each distinct parameter u/w of a list and its count e:
+    eq2's five parameters 1/2 give the one factor (1 + 2n)^5."""
+    counts: dict[Fraction, int] = {}
+    for q in params:
+        counts[q] = counts.get(q, 0) + 1
+    return tuple((q.numerator, q.denominator, e) for q, e in counts.items())
 
-    def num(n: int) -> int:
-        return num_k * math.prod(u + w * n for u, w in upper)
 
-    def den(n: int) -> int:
-        return den_k * math.prod(u + w * n for u, w in lower)
+def _expanded(k: int, factors: tuple[tuple[int, int, int], ...]) -> list[int]:
+    """The coefficients, highest degree first, of k * prod (u + w*x)^e over
+    (u, w, e) in factors."""
+    coeffs = [k]
+    for u, w, e in factors:
+        for _ in range(e):
+            coeffs = [w * c + u * prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
-    def a(n: int) -> int:
+
+def _polynomial(coeffs: list[int]):
+    """n -> the polynomial with these coefficients (highest degree first)
+    at n, by Horner's rule."""
+    def at(n: int) -> int:
         acc = 0
-        for c in poly:
+        for c in coeffs:
             acc = acc * n + c
         return acc
 
-    def b(n: int) -> int:
-        return lin[0] * n + lin[1]
+    return at
 
-    return num, den, a, b, spec.multiplier * lin_den / poly_den
+
+def _integer_factors(spec: SeriesSpec):
+    """Integer polynomials num, den, a, b, a rational c and the linear data
+    of den and b, such that term n of the series is c * a(n)/b(n) *
+    prod_{k<n} num(k)/den(k): num(n)/den(n) is the ratio sign * base *
+    prod (a_i + n) / prod (b_j + n) of the hypergeometric parts, and
+    c * a(n)/b(n) is multiplier * P(n) / (alpha*n + beta), with a and b
+    cleared of denominators.  num and den are expanded once from the
+    distinct parameters' powers.  The linear data (den_k, lower, lin) spell
+    out den(n) = den_k * prod (u + w*n)^e over (u, w, e) in lower, and
+    b(n) = u + w*n for (u, w) = lin."""
+    num_k = spec.sign * spec.base.numerator * math.prod(b.denominator for b in spec.lower)
+    den_k = spec.base.denominator * math.prod(a.denominator for a in spec.upper)
+    lower = _distinct(spec.lower)
+    poly_den = math.lcm(*(c.denominator for c in spec.poly))
+    alpha, beta = spec.denom_linear or (Fraction(0), Fraction(1))
+    lin_den = math.lcm(alpha.denominator, beta.denominator)
+    lin = (beta.numerator * (lin_den // beta.denominator),
+           alpha.numerator * (lin_den // alpha.denominator))
+
+    def b(n: int) -> int:
+        return lin[0] + lin[1] * n
+
+    return (_polynomial(_expanded(num_k, _distinct(spec.upper))),
+            _polynomial(_expanded(den_k, lower)),
+            _polynomial([c.numerator * (poly_den // c.denominator) for c in reversed(spec.poly)]),
+            b, spec.multiplier * lin_den / poly_den, (den_k, lower, lin))
 
 
 def _step(factors, n: int) -> tuple[int, int, int]:
@@ -162,40 +187,85 @@ def _step(factors, n: int) -> tuple[int, int, int]:
 
         N <- q*N + t*H,   D <- q*D,   H <- p*H.
 
-    With (num, den, a, b, c) from ``_integer_factors`` and the start state
+    With (num, den, a, b, c, _) from ``_integer_factors`` and the start state
     (0, c.denominator, c.numerator), the state after step n has N/D equal to
     the sum of terms 0..n and a(n)*H/D equal to term n.  Step n advances the
     ratio past n - 1 (N, D times den(n-1), H times num(n-1)*b(n-1)) and then
     adds term n (N <- N*b(n) + a(n)*H, D <- D*b(n)).
     """
-    num, den, a, b, _ = factors
+    num, den, a, b, _, _ = factors
     if n == 0:
         return b(0), a(0), 1
     p = num(n - 1) * b(n - 1)
     return den(n - 1) * b(n), a(n) * p, p
 
 
-def _steps(factors, lo: int, hi: int) -> tuple[int, int, int]:
-    """Steps lo..hi-1 of ``_step`` as one triple, by binary splitting: step
-    (q1, t1, p1) followed by (q2, t2, p2) is (q1*q2, q2*t1 + t2*p1, p1*p2)."""
-    if hi - lo == 1:
-        return _step(factors, lo)
+def _steps(factors, lo: int, hi: int, modulus: int = 0) -> tuple[int, int, int]:
+    """Steps lo..hi-1 of ``_step`` as one triple: step (q1, t1, p1) followed
+    by (q2, t2, p2) is (q1*q2, q2*t1 + t2*p1, p1*p2).  Up to 8 steps are
+    folded in a loop; longer runs split in halves (binary splitting).  With
+    a modulus, a node with an entry longer than twice the modulus is reduced
+    modulo it, so the triple is right modulo the modulus; without one it is
+    exact."""
+    if hi - lo <= 8:
+        q, t, p = _step(factors, lo)
+        for n in range(lo + 1, hi):
+            q2, t2, p2 = _step(factors, n)
+            q, t, p = q * q2, q2 * t + t2 * p, p * p2
+        return q, t, p
     mid = (lo + hi) // 2
-    q1, t1, p1 = _steps(factors, lo, mid)
-    q2, t2, p2 = _steps(factors, mid, hi)
-    return q1 * q2, q2 * t1 + t2 * p1, p1 * p2
+    q1, t1, p1 = _steps(factors, lo, mid, modulus)
+    q2, t2, p2 = _steps(factors, mid, hi, modulus)
+    q, t, p = q1 * q2, q2 * t1 + t2 * p1, p1 * p2
+    if modulus and max(q.bit_length(), t.bit_length(), p.bit_length()) > 2 * modulus.bit_length():
+        return q % modulus, t % modulus, p % modulus
+    return q, t, p
+
+
+def _linear_valuation(u: int, w: int, p: int, count: int) -> int:
+    """v_p of prod_{0<=k<count} (u + w*k), no factor zero: the sum over e >= 1
+    of the number of k < count with p^e | u + w*k.  With p^j = gcd(w, p^e),
+    those k are none when p^j does not divide u, and otherwise the k = k0
+    modulo p^(e-j): every k once p^e divides u and w.  The number only falls
+    as e grows, and it is 0 once p^e exceeds every factor."""
+    v, pe = 0, p
+    while u % (g := math.gcd(w, pe)) == 0:
+        step = pe // g
+        k0 = -(u // g) * pow(w // g, -1, step) % step
+        if k0 >= count:
+            break
+        v += (count - 1 - k0) // step + 1
+        pe *= p
+    return v
+
+
+def _den_valuation(factors, p: int) -> int:
+    """v_p(D) for the state D after step p - 1, counted from the linear data
+    of ``_integer_factors`` without forming D: by ``_step``, D is
+    c.denominator * prod_{k<=p-2} den(k) * prod_{k<=p-1} b(k)."""
+    *_, c, (den_k, lower, lin) = factors
+    return (_linear_valuation(c.denominator, 0, p, 1)
+            + _linear_valuation(den_k, 0, p, p - 1)
+            + sum(e * _linear_valuation(u, w, p, p - 1) for u, w, e in lower)
+            + _linear_valuation(*lin, p, p))
 
 
 def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[int, int]:
     """The truncated sum over n < p modulo p^m, as an integer in [0, p^m),
-    for every prime p given.  The exact state (N, D, H) of ``_step`` moves
-    from one prime to the next by one ``_steps`` tree per gap, the first over
-    0..min(primes), so that N/D is the sum of terms 0..p-1.  At p, with
-    v = v_p(D) found exactly, the sum is (N / p^v) * (D / p^v)^-1 modulo
-    p^m, read from N and D modulo p^(v+m).
+    for every prime p given.  The state (N, D, H) of ``_step`` runs up the
+    sorted primes by one ``_steps`` tree per gap, the first over
+    0..min(primes), so that N/D is the sum of terms 0..p-1 when it reaches
+    p.  There the sum is (N / p^v) * (D / p^v)^-1 modulo p^m, with
+    v = v_p(D) counted from the factor data (``_den_valuation``), so only
+    N and D modulo p^(m+v) are read.  The state is therefore kept modulo R,
+    the product of p^(m+v) over the primes still to be read: each read
+    divides R by its own prime power, and the trees reduce modulo R every
+    node that outgrows it.  No prime pays for the exact state, which grows
+    with the range.
 
     Raises BadPrime when a prime divides a structural denominator, and
     NegativeValuationSum at the first prime where the sum is not p-integral.
+    InvariantViolation means D modulo p^(v+1) does not have valuation v.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -203,23 +273,27 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
     for p in primes:
         if why := spec.inadmissible(p):
             raise BadPrime(why)
-    *_, c = factors = _integer_factors(spec)
+    *_, c, _ = factors = _integer_factors(spec)
+    vs = [_den_valuation(factors, p) for p in primes]
+    powers = [p ** (m + v) for p, v in zip(primes, vs)]
+    R = math.prod(powers)  # the prime powers still to be read
     N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
     done = 0
     out: dict[int, int] = {}
-    for p in primes:
-        q, t, s = _steps(factors, done, p)
-        N, D, H = q * N + t * H, q * D, s * H
+    for p, v, pe in zip(primes, vs, powers):
+        q, t, s = _steps(factors, done, p, R)
+        N, D, H = (q * N + t * H) % R, q * D % R, s * H % R
         done = p
-        v = valuation(D, p)
-        pv, pm = p**v, p**m
-        top = N % (pv * pm)
+        top, bottom, pv = N % pe, D % pe, p**v
+        if bottom % pv or bottom % (pv * p) == 0:
+            raise InvariantViolation("D", f"{spec.name} at p={p}: v_p(D) is not {v}")
         if top % pv:
             raise NegativeValuationSum(
                 f"{spec.name} at p={p}: sum has valuation {valuation(top, p) - v}"
             )
-        unit = D % (pv * pm) // pv
-        out[p] = top // pv * pow(unit, -1, pm) % pm
+        pm = pe // pv
+        out[p] = top // pv * pow(bottom // pv, -1, pm) % pm
+        R //= pe
     return out
 
 
@@ -293,7 +367,7 @@ def numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, mpf]:
         raise ValueError("precision_bits must be >= 64")
     from mpmath import mp
 
-    num, den, a, b, c = factors = _integer_factors(spec)
+    num, den, a, b, c, _ = factors = _integer_factors(spec)
     base = spec.base
     N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
     done = 0

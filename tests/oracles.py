@@ -11,6 +11,9 @@ each one starts again from the public series data, characters and mpmath.
   exactly at every term, on integer factors derived here; and
   ``exact_fdiv``, the exact division that ``series._fdiv`` reads from
   leading bits.
+- ``padic_truncated_sum``: one truncated sum modulo p^m from its terms'
+  valuations and unit parts, on the integer factors above: a row check that
+  scales to large p.
 - ``power_sum_bernoulli``: B_{m,chi} mod p with one ``pow`` per b, the route
   that the multiplicative sieve of ``lfunctions`` replaced.
 - ``reference_lll``: the textbook LLL in Fractions.
@@ -41,6 +44,7 @@ from typing import Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
+from padic_rama.errors import NegativeValuationSum
 from padic_rama.exactnum import kronecker
 from padic_rama.lfunctions import L_nonpositive, QuadCharacter
 from padic_rama.series import SeriesSpec
@@ -194,6 +198,55 @@ def reference_numeric_sum(spec: SeriesSpec, precision_bits: int) -> tuple[mpf, m
                     rounding = (n + 1) * mp.eps * (abs(total) + 1)
                     return total, mp.fdiv(top, bot) + rounding
         N, D = N_next, D_next
+
+
+# ---------------------------------------------------------------------------
+# truncated sums modulo p^m
+
+
+def padic_truncated_sum(spec: SeriesSpec, p: int, m: int) -> int:
+    """The sum of terms n < p modulo p^m, in [0, p^m), for a prime p that
+    divides no denominator of the series, by p-adic unit arithmetic on the
+    integer factors of ``integer_factors``: term n is H0/D0 * a(n)/b(n) *
+    prod_{k<n} num(k)/den(k).
+
+    The first pass finds each nonzero term's valuation v_n and the least
+    one, -e (e >= 0).  The second keeps each term's unit part modulo
+    p^(m+e) and adds it times p^(v_n+e); that total divided by p^e is the
+    sum.  Neither pass holds more than a prime power, so a row at p near
+    10^4 takes a fraction of a second, where the exact Fraction sum takes
+    about a minute.  Raises NegativeValuationSum when the sum is not
+    p-integral."""
+    num, den, a, b, (H0, D0) = integer_factors(spec)
+
+    def split(x: int) -> tuple[int, int]:  # (v, u): x = p^v * u, p does not divide u
+        v = 0
+        while x % p == 0:
+            x, v = x // p, v + 1
+        return v, x
+
+    if H0 == 0:
+        return 0
+    terms = []  # (n, v_n) for each nonzero term
+    v_h = split(H0)[0] - split(D0)[0]
+    for n in range(p):
+        if a(n):
+            terms.append((n, v_h + split(a(n))[0] - split(b(n))[0]))
+        v_h += split(num(n))[0] - split(den(n))[0]
+    e = max([0, *(-v for _, v in terms)])
+    mod = p ** (m + e)
+    h = split(H0)[1] * pow(split(D0)[1], -1, mod)  # unit part of the term without a/b
+    total, at = 0, 0
+    for n, v in terms:
+        for k in range(at, n):
+            h = h * split(num(k))[1] * pow(split(den(k))[1], -1, mod) % mod
+        at = n
+        total += pow(p, v + e, mod) * h * split(a(n))[1] * pow(split(b(n))[1], -1, mod)
+    total %= mod
+    if total % p**e:
+        raise NegativeValuationSum(
+            f"{spec.name} at p={p}: sum has valuation {split(total)[0] - e}")
+    return total // p**e % p**m
 
 
 # ---------------------------------------------------------------------------

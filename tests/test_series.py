@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from padic_rama import replace
+from padic_rama import series as series_module
 from padic_rama.errors import BadPrime, InvariantViolation, NegativeValuationSum
-from padic_rama.exactnum import primes_in_range, reduce_rational
+from padic_rama.exactnum import primes_in_range, reduce_rational, valuation
 from padic_rama.expansion import shifted_expansion
 from padic_rama.series import (
     ClosedForm,
     SeriesSpec,
+    _den_valuation,
     _fdiv,
+    _integer_factors,
     numeric_sum,
     rhs_value,
     truncated_sum_exact,
@@ -24,7 +28,10 @@ from padic_rama.series import (
 from oracles import (
     exact_fdiv,
     hyper_ratio,
+    integer_factors,
     linear_at,
+    padic_truncated_sum,
+    partial_sums,
     pochhammer,
     poly_at,
     reference_numeric_sum,
@@ -147,6 +154,12 @@ class TestTruncatedSumMod:
         with pytest.raises(NegativeValuationSum):
             truncated_sum_mod(spec, 5, 2)
 
+    def test_a_wrong_exponent_is_caught(self, series, monkeypatch):
+        # eq2's D carries no 7 after the terms n < 7; claiming one must fail
+        monkeypatch.setattr(series_module, "_den_valuation", lambda factors, p: 1)
+        with pytest.raises(InvariantViolation, match="p=7: v_p"):
+            truncated_sum_mod(series["eq2"], 7, 3)
+
     def test_guard_exhausted(self):
         # forty lower-parameter copies of 1/2: the n = 3 and n = 4 terms each
         # carry 5^-40, their leading digits cancel, and the sum has valuation -39
@@ -189,14 +202,21 @@ LINEAR = st.tuples(
 
 @st.composite
 def small_specs(draw):
+    """Parameter lists drawn from pools of one to three values, so that
+    repeated parameters are common."""
     k = draw(st.integers(0, 3))
+
+    def parameters():
+        pool = draw(st.lists(PARAMS, min_size=1, max_size=3))
+        return tuple(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+
     poly = draw(st.lists(SMALL, min_size=1, max_size=3))
     if len(poly) > 1 and poly[-1] == 0:
         poly[-1] = F(1)
     denom = draw(st.none() | LINEAR)
     return make_spec(
-        upper=tuple(draw(st.lists(PARAMS, min_size=k, max_size=k))),
-        lower=tuple(draw(st.lists(PARAMS, min_size=k, max_size=k))),
+        upper=parameters(),
+        lower=parameters(),
         sign=draw(st.sampled_from([1, -1])),
         base=draw(st.fractions(min_value=0, max_value=1, max_denominator=40)
                   .filter(lambda q: 0 < q < 1)),
@@ -239,6 +259,85 @@ def test_batch_agrees_with_exact_route(spec, primes, m):
             truncated_sums_mod(spec, good, m)
     else:
         assert truncated_sums_mod(spec, good, m) == {p: want[p] for p in good}
+
+
+@st.composite
+def valuation_cases(draw):
+    """(spec, p) with every denominator of the spec prime to p, so p is
+    admissible: repeated parameters, and a linear denominator with alpha = 0,
+    with p dividing alpha's numerator, or with a negative beta, any of them
+    possibly with p dividing beta."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 101]))
+    prime_to_p = st.sampled_from([d for d in range(1, 13) if d % p])
+
+    def rational(lo, hi):
+        d = draw(prime_to_p)
+        return F(draw(st.integers(lo * d, hi * d)), d)
+
+    k = draw(st.integers(0, 4))
+
+    def parameters():  # k draws from a pool of one to three values in (0, 1]
+        pool = [rational(0, 1) or F(1) for _ in range(draw(st.integers(1, 3)))]
+        return tuple(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+
+    d = draw(st.sampled_from([d for d in range(2, 41) if d % p]))
+    kind = draw(st.sampled_from(["none", "alpha = 0", "p | alpha", "beta < 0", "any"]))
+    denom = None
+    if kind != "none":
+        alpha = (F(0) if kind == "alpha = 0" else p * rational(1, 2) if kind == "p | alpha"
+                 else rational(0, 4))
+        beta = (rational(-6, 6) or F(-1)) * draw(st.sampled_from([1, p, p * p]))
+        if kind == "beta < 0":
+            beta = -abs(beta)
+        if alpha and (-beta / alpha).denominator == 1 and -beta / alpha >= 0:
+            beta -= alpha / (2 if p != 2 else 3)  # -beta/alpha moves off the integers
+        denom = (alpha, beta)
+    poly = [rational(-6, 6) for _ in range(draw(st.integers(1, 3)))]
+    if len(poly) > 1 and poly[-1] == 0:
+        poly[-1] = F(1)
+    spec = make_spec(
+        upper=parameters(), lower=parameters(), sign=draw(st.sampled_from([1, -1])),
+        base=F(draw(st.integers(1, d - 1)), d), poly=tuple(poly), denom_linear=denom,
+        multiplier=rational(-6, 6) or F(1),
+    )
+    assert not spec.inadmissible(p)
+    return spec, p
+
+
+@given(valuation_cases(), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_exponent_read_is_the_valuation_of_the_exact_state(case, m):
+    """The exponent that ``truncated_sums_mod`` reads at p is m + v, with v
+    counted from the factor data: v must be v_p(D) of the exact state after
+    the terms n < p, built here by the oracle's own recurrence.  The sum
+    itself must match the exact route, and so must the row oracle's."""
+    spec, p = case
+    _, D, _ = next(itertools.islice(partial_sums(integer_factors(spec)), p - 1, None))
+    assert _den_valuation(_integer_factors(spec), p) == valuation(D, p)
+    try:
+        want = reduce_rational(truncated_sum_exact(spec, p), p, m).residue(m)
+    except NegativeValuationSum:
+        for route in truncated_sum_mod, padic_truncated_sum:
+            with pytest.raises(NegativeValuationSum):
+                route(spec, p, m)
+    else:
+        assert truncated_sum_mod(spec, p, m) == padic_truncated_sum(spec, p, m) == want
+
+
+@pytest.mark.parametrize("name, template", [
+    ("eq2", "eq5"), ("eq6", "eq8"), ("eq9", "eq11"), ("gourevitch", "eq14"), ("eq15", "eq16"),
+])
+def test_rows_at_large_primes_match_the_padic_oracle(series, templates, name, template):
+    """Two seeded primes in 2000..10000, where the modulus of the state is
+    far below the exact state, read together against the oracle row by
+    row."""
+    spec, tpl = series[name], templates[template]
+    spec = spec.scaled(tpl.scale)
+    good = [p for p in primes_in_range(2000, 10000) if not spec.inadmissible(p)]
+    primes = sorted(random.Random(f"rows-{name}").sample(good, 2))
+    m = tpl.modulus_power
+    got = truncated_sums_mod(spec, primes, m)
+    assert got == {p: padic_truncated_sum(spec, p, m) for p in primes}
 
 
 class TestNumericSum:
