@@ -44,8 +44,9 @@ _ONE = from_int(1)
 _BY_VALUE = cmp_to_key(mpf_cmp)
 
 # The ring R[x]/(x^{K+1}) on raw libmp values at precision p, rounding to
-# nearest: each function performs the roundings of the mpf expression that it
-# replaces, in its order.  Adding to or from an mpf zero rounds nothing more.
+# nearest: each function performs the roundings of the matching mpf expression
+# of ``ReferenceSeries`` in ``tests/oracles.py``, in its order, and must agree
+# with it bit for bit.  Adding to or from an mpf zero rounds nothing more.
 
 
 def _eps(factor: int, p: int) -> tuple:
@@ -129,59 +130,11 @@ def _exp(a, ea, p: int):
 
 @record
 class TruncatedSeries:
-    """Polynomial of fixed order K with mpf coefficients and one uniform
-    error bound; arithmetic is exact in the ring R[x]/(x^{K+1}) apart from
-    rounding, with error propagation tracked at first order.
-    """
+    """The x-expansion that ``shifted_expansion`` returns: the mpf
+    coefficients of x^0..x^K and one uniform error bound on them."""
 
     coeffs: tuple[mpf, ...]
     error_bound: mpf
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def norm1(self) -> mpf:
-        return mp.make_mpf(_norm1(self._raw()[0], mp.prec))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._align(other)
-        (a, ea), (b, eb) = self._raw(), other._raw()
-        return _series(*_add(a, b, ea, eb, mp.prec))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._align(other)
-        (a, ea), (b, eb), p = self._raw(), other._raw(), mp.prec
-        return _series(*_mul(a, b, ea, eb, _norm1(a, p), _norm1(b, p), p))
-
-    def scale(self, s: mpf) -> "TruncatedSeries":
-        (a, ea), p = self._raw(), mp.prec
-        return _series(*_scale(a, ea, _norm1(a, p), mpf(s)._mpf_, p))
-
-    def recip(self) -> "TruncatedSeries":
-        """1/self; the constant term must be nonzero."""
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("reciprocal of a series with zero constant term")
-        return _series(*_recip(*self._raw(), mp.prec)[:2])
-
-    def exp(self) -> "TruncatedSeries":
-        """exp(self), splitting off the constant term."""
-        return _series(*_exp(*self._raw(), mp.prec)[:2])
-
-    def _raw(self) -> tuple[list, tuple]:
-        return [c._mpf_ for c in self.coeffs], self.error_bound._mpf_
-
-    def _align(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError("mixed truncation orders")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[mpf]) -> "TruncatedSeries":
-        return cls(tuple(mpf(c) for c in coeffs), mp.zero)
-
-
-def _series(coeffs, err) -> TruncatedSeries:
-    return TruncatedSeries(tuple(map(mp.make_mpf, coeffs)), mp.make_mpf(err))
 
 
 def _poly_shift(poly: Sequence[Fraction], K: int):
@@ -278,7 +231,7 @@ def shifted_expansion(spec: SeriesSpec, K: int, precision_bits: int) -> Truncate
                     rounding = mpf_mul(_eps((n + 1) * (K + 1), p),
                                        mpf_add(_norm1(total, p), _ONE, p, _N), p, _N)
                     bound = mpf_add(mpf_add(tail, rounding, p, _N), total_err, p, _N)
-                    return _series(total, bound)
+                    return TruncatedSeries(tuple(map(mp.make_mpf, total)), mp.make_mpf(bound))
 
             # advance G by one index shift
             _add_per_parameter(G, 0, [shift(i) for i in range(len(params))], upper, lower, p)

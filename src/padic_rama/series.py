@@ -265,7 +265,9 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
 
     Raises BadPrime when a prime divides a structural denominator, and
     NegativeValuationSum at the first prime where the sum is not p-integral.
-    InvariantViolation means D modulo p^(v+1) does not have valuation v.
+    RuntimeError means D modulo p^(v+1) does not have valuation v: a fault
+    in the valuation count, not in the input, so no command reports it as a
+    usage error.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -286,7 +288,7 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
         done = p
         top, bottom, pv = N % pe, D % pe, p**v
         if bottom % pv or bottom % (pv * p) == 0:
-            raise InvariantViolation("D", f"{spec.name} at p={p}: v_p(D) is not {v}")
+            raise RuntimeError(f"{spec.name} at p={p}: v_p(D) is not {v}")
         if top % pv:
             raise NegativeValuationSum(
                 f"{spec.name} at p={p}: sum has valuation {valuation(top, p) - v}"

@@ -22,6 +22,9 @@ each one starts again from the public series data, characters and mpmath.
 - ``reference_shifted_expansion``: ``shifted_expansion`` in mpf objects, one
   mpmath operator per rounding (``ReferenceSeries``), which the library's
   libmp kernel must match bit for bit.
+- ``zeta_value``: zeta(k) from the Bernoulli closed form at even k and from
+  Borwein's alternating series, summed in Fractions, at odd k, for the
+  ``zeta`` constants.
 - ``l_value_polylog``: L(k, chi_D) from polylogarithms at the roots of unity,
   for the ``l`` constants.
 
@@ -272,6 +275,52 @@ def power_sum_bernoulli(D: int, m: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# zeta values
+
+
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0..B_n (B_1 = -1/2) from sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+def zeta_value(k: int, bits: int) -> mpf:
+    """zeta(k) for an integer k >= 2, rounded to ``bits``.  At even k, the
+    closed form (-1)^(k/2+1) B_k (2 pi)^k / (2 k!) with B_k in Fractions.  At
+    odd k, Borwein's alternating series ("An efficient algorithm for the
+    Riemann zeta function", 2000), summed exactly in Fractions and rounded
+    only at the end:
+
+        zeta(k) = -1/(d_n (1 - 2^(1-k))) sum_{j<n} (-1)^j (d_j - d_n) / (j+1)^k,
+        d_j = n sum_{i<=j} (n+i-1)! 4^i / ((n-i)! (2i)!),
+
+    whose error is below 3 / ((3 + sqrt 8)^n |1 - 2^(1-k)|) <= 6 (3 + sqrt 8)^-n,
+    so n = (bits + 8) / log2(3 + sqrt 8) terms suffice."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k % 2 == 0:
+        with mp.workprec(bits + 20):
+            b = bernoulli_numbers(k)[k]
+            value = (-1) ** (k // 2 + 1) * rational_mpf(b) * (2 * mp.pi) ** k \
+                / (2 * math.factorial(k))
+    else:
+        n = math.ceil((bits + 8) / math.log2(3 + math.sqrt(8)))
+        d, term = [], Fraction(0)
+        for i in range(n + 1):
+            term += Fraction(n * math.factorial(n + i - 1) * 4**i,
+                             math.factorial(n - i) * math.factorial(2 * i))
+            d.append(term)
+        s = sum(Fraction((-1) ** j) * (d[j] - d[n]) / (j + 1) ** k for j in range(n))
+        exact = -s / (d[n] * (1 - Fraction(1, 2 ** (k - 1))))
+        with mp.workprec(bits + 20):
+            value = rational_mpf(exact)
+    with mp.workprec(bits):
+        return +value
+
+
+# ---------------------------------------------------------------------------
 # quadratic L-values
 
 
@@ -399,7 +448,7 @@ def taylor_ratios(spec: SeriesSpec, K: int, bits: int) -> list[mpf]:
     """|c_k - t_k| / e for k = 0..K: c_k and the stated error bound e from
     ``shifted_expansion(spec, K, bits)``, and t_k from ``mp.taylor`` of the
     x-extended sum at twice the bits, which uses no digamma, Hurwitz zeta,
-    ``TruncatedSeries`` or tail rule."""
+    series ring or tail rule."""
     from padic_rama.expansion import shifted_expansion
 
     ts = shifted_expansion(spec, K, bits)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_rama import admissible_primes, cli, congruence
+from padic_rama import series as series_module
 from padic_rama.cli import (
     EXIT_MATH_FAIL,
     EXIT_OK,
@@ -281,6 +282,14 @@ class TestCommands:
 
     def test_argparse_error_maps_to_usage(self, capsys):
         assert main(["congruence", "--spec", "eq2"]) == EXIT_USAGE
+
+    def test_a_library_fault_is_not_a_usage_error(self, monkeypatch, capsys):
+        # a wrong valuation count is a fault of the library, not of the input:
+        # it surfaces as a traceback, never as exit 2 with an "error:" line
+        monkeypatch.setattr(series_module, "_den_valuation", lambda factors, p: 1)
+        with pytest.raises(RuntimeError, match="p=5: v_p"):
+            main(["congruence", "--spec", "eq2", "--template", "eq5", "--primes", "5..20"])
+        assert "error:" not in capsys.readouterr().err
 
     def test_precision_exit(self, tmp_path, capsys):
         # a candidate needing p >= 103 while the primes are capped at 60

@@ -10,7 +10,12 @@ from padic_rama.constants import Lquad, PiPower, SqrtDisc, Zeta, constant_value
 from padic_rama.errors import InsufficientPrecision, InvariantViolation
 from padic_rama.expansion import (
     ExpansionClaim,
-    TruncatedSeries,
+    _add,
+    _exp,
+    _mul,
+    _norm1,
+    _recip,
+    _scale,
     recognize,
     shifted_expansion,
     verify_expansion,
@@ -20,12 +25,14 @@ from padic_rama.series import ClosedForm, SeriesSpec, numeric_sum
 
 from oracles import (
     TAYLOR_ORDERS,
+    ReferenceSeries,
     gram_schmidt,
     is_lll_reduced,
     l_value_polylog,
     reference_lll,
     reference_shifted_expansion,
     taylor_ratios,
+    zeta_value,
 )
 
 F = Fraction
@@ -108,10 +115,48 @@ def _random_series(rng, K, unit=False):
     coeffs = [mpf(rng.randrange(-50, 51)) / (1 + rng.randrange(9)) for _ in range(K + 1)]
     if unit:
         coeffs[0] = mpf(1 + rng.randrange(1, 9)) / (1 + rng.randrange(4))
-    return TruncatedSeries.from_coeffs(coeffs)
+    return ReferenceSeries(coeffs, mp.zero)
+
+
+def _general_series(rng, K):
+    """A series of order K at the working precision: full-width mantissas of
+    either sign over a wide range of exponents, some exact zeros, a nonzero
+    constant term, and a nonzero error bound."""
+    def value():  # |value| < 2^4
+        mantissa = rng.choice((1, -1)) * rng.getrandbits(mp.prec)
+        return mp.ldexp(mpf(mantissa), rng.randint(-2 * mp.prec, 4 - mp.prec))
+
+    coeffs = [mp.zero if rng.random() < 0.2 else value() for _ in range(K + 1)]
+    coeffs[0] = mpf(rng.randint(1, 9)) + value()
+    return ReferenceSeries(coeffs, abs(value()) * mpf(2) ** -100)
+
+
+def _raw(ts):
+    return [c._mpf_ for c in ts.coeffs], ts.error_bound._mpf_
 
 
 class TestTruncatedSeriesRing:
+    """The libmp kernel of ``expansion`` performs the roundings of
+    ``oracles.ReferenceSeries``, operator for operator; the ring laws hold for
+    the reference."""
+
+    def test_kernel_matches_the_reference_bit_for_bit(self):
+        rng = random.Random(19)
+        with mp.workprec(160):
+            p = mp.prec
+            for case in range(1000):
+                K = case % 8
+                A, B = _general_series(rng, K), _general_series(rng, K)
+                (a, ea), (b, eb) = _raw(A), _raw(B)
+                na, nb = A.norm1()._mpf_, B.norm1()._mpf_
+                s = _general_series(rng, 0).coeffs[0]
+                assert _norm1(a, p) == na, case
+                assert _add(a, b, ea, eb, p) == _raw(A + B), case
+                assert _mul(a, b, ea, eb, na, nb, p) == _raw(A * B), case
+                assert _scale(a, ea, na, s._mpf_, p) == _raw(A.scale(s)), case
+                for got, want in [(_recip(a, ea, p), A.recip()), (_exp(a, ea, p), A.exp())]:
+                    assert got == (*_raw(want), want.norm1()._mpf_), case
+
     def test_mul_associative(self):
         rng = random.Random(11)
         with mp.workprec(160):
@@ -140,15 +185,10 @@ class TestTruncatedSeriesRing:
         rng = random.Random(17)
         with mp.workprec(160):
             A = _random_series(rng, 5)
-            B = TruncatedSeries.from_coeffs([-c for c in A.coeffs])
+            B = ReferenceSeries([-c for c in A.coeffs], mp.zero)
             prod = A.exp() * B.exp()
             assert abs(prod.coeffs[0] - 1) < mpf(2) ** -100
             assert all(abs(c) < mpf(2) ** -100 for c in prod.coeffs[1:])
-
-    def test_mixed_orders_rejected(self):
-        with mp.workprec(64):
-            with pytest.raises(ValueError):
-                TruncatedSeries.from_coeffs([1, 2]) * TruncatedSeries.from_coeffs([1])
 
 
 def _is_discriminant(D):
@@ -177,19 +217,26 @@ class TestConstantValue:
             assert mp.nstr(v, 8) == "2.236068"
 
     def test_l_values_match_the_polylog_route(self, claims):
-        # every shipped l claim, and a seeded grid of |D| <= 60 and k <= 4
+        # every shipped l claim, and a seeded grid of |D| <= 60 and k <= 8
         shipped = {(t.disc, t.k) for cf in claims.values() for cl in cf.claims
                    for t in cl.constants if isinstance(t, Lquad)}
         assert len(shipped) == 7
         discs = [D for D in range(-60, 61) if _is_discriminant(D)]
         rng = random.Random(13)
-        grid = {(rng.choice(discs), rng.randint(1, 4)) for _ in range(12)}
+        grid = {(rng.choice(discs), rng.randint(1, 8)) for _ in range(12)}
         for D, k in sorted(shipped | grid):
             got = constant_value(Lquad(D, k), 512)
             with mp.workprec(512):
                 want = l_value_polylog(D, k)
             with mp.workprec(600):
                 assert abs(got - want) <= abs(want) * mpf(2) ** -500, (D, k)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_zeta_values_match_the_oracle(self, k):
+        # Bernoulli closed form at even k, Borwein's series at odd k, at 600 bits
+        got, want = constant_value(Zeta(k), 512), zeta_value(k, 600)
+        with mp.workprec(600):
+            assert abs(got - want) <= want * mpf(2) ** -500
 
     def test_memo_returns_same_object(self):
         a = constant_value(Zeta(3), 128)
@@ -263,10 +310,6 @@ class TestShiftedExpansion:
         # coefficient lies within twice the stated error bound
         ratios = taylor_ratios(series[name], K, 128)
         assert all(r <= 2 for r in ratios), (name, ratios)
-
-
-def _raw(ts):
-    return [c._mpf_ for c in ts.coeffs], ts.error_bound._mpf_
 
 
 def _spec(**kw):

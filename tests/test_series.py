@@ -157,7 +157,7 @@ class TestTruncatedSumMod:
     def test_a_wrong_exponent_is_caught(self, series, monkeypatch):
         # eq2's D carries no 7 after the terms n < 7; claiming one must fail
         monkeypatch.setattr(series_module, "_den_valuation", lambda factors, p: 1)
-        with pytest.raises(InvariantViolation, match="p=7: v_p"):
+        with pytest.raises(RuntimeError, match="p=7: v_p"):
             truncated_sum_mod(series["eq2"], 7, 3)
 
     def test_guard_exhausted(self):
