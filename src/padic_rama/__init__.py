@@ -38,12 +38,9 @@ from .exactnum import (
     valuation,
 )
 from .lfunctions import (
-    L_nonpositive,
     L_p_mod_p,
     QuadCharacter,
     bernoulli_all_mod_p,
-    bernoulli_exact,
-    generalized_bernoulli,
     zeta_p_mod_p,
 )
 from .series import (

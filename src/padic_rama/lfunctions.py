@@ -1,12 +1,11 @@
-"""Bernoulli numbers (exact, and a mod-p table kept as a test oracle),
-quadratic Dirichlet characters, the rational values of zeta and quadratic
-L-functions at non-positive integers, and the single p-adic digit of
-L_{D,p}(k) that the congruence machinery consumes.  zeta_p is L_p of the
-trivial character chi_1 (D = 1), so one routine serves both: the digit is a
-Kummer value, -B_{m,chi}/m mod p with m = p-k, and one power sum over
-a <= f p gives B_{m,chi} mod p (f = 1 for zeta_p).  Its p powers b^(m-1)
-mod p^2 come from a multiplicative sieve: a modular power at each prime b
-below p, one product of two earlier powers at each composite.
+"""Quadratic Dirichlet characters and the single p-adic digit of L_{D,p}(k)
+that the congruence machinery consumes, with a mod-p Bernoulli table kept as
+a test oracle.  zeta_p is L_p of the trivial character chi_1 (D = 1), so one
+routine serves both: the digit is a Kummer value, -B_{m,chi}/m mod p with
+m = p-k, and one power sum over a <= f p gives B_{m,chi} mod p (f = 1 for
+zeta_p).  Its p powers b^(m-1) mod p^2 come from a multiplicative sieve: a
+modular power at each prime b below p, one product of two earlier powers at
+each composite.
 
 Convention: B_1 = -1/2 everywhere, so that zeta(1-k) = -B_k/k and
 L(1-m, chi) = -B_{m,chi}/m hold with no sign fixups.
@@ -14,23 +13,11 @@ L(1-m, chi) = -B_{m,chi}/m hold with no sign fixups.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
-from math import comb, isqrt
+from math import isqrt
 
 from ._record import record
 from .errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from .exactnum import kronecker
-
-
-@cache
-def bernoulli_exact(k: int) -> Fraction:
-    """B_k as an exact rational (mpmath.bernfrac)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    from mpmath import bernfrac
-
-    return Fraction(*bernfrac(k))
 
 
 def bernoulli_all_mod_p(p: int) -> tuple[int, ...]:
@@ -91,34 +78,6 @@ class QuadCharacter:
         if a < 1:
             raise ValueError("character argument must be >= 1")
         return kronecker(self.D, a)
-
-
-def generalized_bernoulli(chi: QuadCharacter, m: int) -> Fraction:
-    """B_{m,chi} = f^{m-1} * sum_{a=1..f} chi(a) * B_m(a/f), with B_m(x)
-    expanded through the binomial convolution over exact Bernoulli numbers.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    f = chi.conductor
-    total = Fraction(0)
-    for a in range(1, f + 1):
-        c = chi(a)
-        if c == 0:
-            continue
-        x = Fraction(a, f)
-        poly = sum(
-            comb(m, j) * bernoulli_exact(j) * x ** (m - j) for j in range(m + 1)
-        )
-        total += c * poly
-    return Fraction(f) ** (m - 1) * total
-
-
-def L_nonpositive(chi: QuadCharacter, s: int) -> Fraction:
-    """L(s, chi) for s <= 0:  L(1-m, chi) = -B_{m,chi}/m."""
-    if s > 0:
-        raise ValueError("s must be <= 0")
-    m = 1 - s
-    return -generalized_bernoulli(chi, m) / m
 
 
 def _bernoulli_chi_mod_p(D: int, m: int, p: int) -> int:

@@ -6,7 +6,6 @@ each one starts again from the public series data, characters and mpmath.
 - Fraction terms of a series: ``pochhammer`` and ``term_exact`` from the
   product formula, and ``hyper_ratio``, ``poly_at`` and ``linear_at`` for the
   term-by-term ratio update.
-- ``zeta_nonpositive``: zeta(s) for s <= 0, read as L(s, chi_1).
 - ``reference_numeric_sum``: ``series.numeric_sum``'s stop rule tested
   exactly at every term, on integer factors derived here; and
   ``exact_fdiv``, the exact division that ``series._fdiv`` reads from
@@ -22,11 +21,16 @@ each one starts again from the public series data, characters and mpmath.
 - ``reference_shifted_expansion``: ``shifted_expansion`` in mpf objects, one
   mpmath operator per rounding (``ReferenceSeries``), which the library's
   libmp kernel must match bit for bit.
+- ``bernoulli_numbers``, ``generalized_bernoulli`` and ``L_nonpositive``:
+  B_n, B_{m,chi} and L(s, chi_D) for s <= 0 in Fractions, the exact values
+  behind the Kummer digits of ``lfunctions``; and ``zeta_nonpositive``, the
+  same at D = 1.
 - ``zeta_value``: zeta(k) from the Bernoulli closed form at even k and from
   Borwein's alternating series, summed in Fractions, at odd k, for the
   ``zeta`` constants.
 - ``l_value_polylog``: L(k, chi_D) from polylogarithms at the roots of unity,
-  for the ``l`` constants.
+  for the ``l`` constants; and ``l_value_closed_form``, the Bernoulli closed
+  form where chi_D(-1) = (-1)^k.
 
 Run as a script, it holds every shipped series' expansion against the Taylor
 oracle at 256 bits, and eq6 at order 8 and 1024 bits and eq15 at order 6 and
@@ -42,6 +46,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -49,7 +54,6 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from padic_rama.errors import NegativeValuationSum
 from padic_rama.exactnum import kronecker
-from padic_rama.lfunctions import L_nonpositive, QuadCharacter
 from padic_rama.series import SeriesSpec
 
 # ---------------------------------------------------------------------------
@@ -102,11 +106,6 @@ def term_exact(spec: SeriesSpec, n: int) -> Fraction:
     for b in spec.lower:
         t /= pochhammer(b, n)
     return t * poly_at(spec, n) / linear_at(spec, n)
-
-
-def zeta_nonpositive(s: int) -> Fraction:
-    """zeta(s) = L(s, chi_1) for s <= 0:  zeta(1-k) = -B_k/k, zeta(0) = -1/2."""
-    return L_nonpositive(QuadCharacter(1), s)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +274,46 @@ def power_sum_bernoulli(D: int, m: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# zeta values
+# exact Bernoulli values
 
 
-def bernoulli_numbers(n: int) -> list[Fraction]:
+@cache
+def bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     """B_0..B_n (B_1 = -1/2) from sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1."""
     B = [Fraction(1)]
     for m in range(1, n + 1):
         B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
-    return B
+    return tuple(B)
+
+
+def generalized_bernoulli(D: int, m: int) -> Fraction:
+    """B_{m,chi} of the character chi = (D|.) of conductor f = |D| (D = 1:
+    B_m), as f^(m-1) sum_{a<=f} chi(a) B_m(a/f), with the Bernoulli
+    polynomial B_m(x) = sum_j C(m, j) B_j x^(m-j)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    f, B = abs(D), bernoulli_numbers(m)
+    total = Fraction(0)
+    for a in range(1, f + 1):
+        x = Fraction(a, f)
+        total += kronecker(D, a) * sum(math.comb(m, j) * B[j] * x ** (m - j) for j in range(m + 1))
+    return f ** (m - 1) * total
+
+
+def L_nonpositive(D: int, s: int) -> Fraction:
+    """L(s, chi_D) for s <= 0:  L(1-m, chi) = -B_{m,chi}/m."""
+    if s > 0:
+        raise ValueError("s must be <= 0")
+    return -generalized_bernoulli(D, 1 - s) / (1 - s)
+
+
+def zeta_nonpositive(s: int) -> Fraction:
+    """zeta(s) for s <= 0, as L(s, chi_1):  zeta(1-k) = -B_k/k, zeta(0) = -1/2."""
+    return L_nonpositive(1, s)
+
+
+# ---------------------------------------------------------------------------
+# zeta values
 
 
 def zeta_value(k: int, bits: int) -> mpf:
@@ -337,6 +367,23 @@ def l_value_polylog(D: int, k: int) -> mpf:
                     for a in range(1, f) if kronecker(D, a))
         tau = mp.sqrt(f) if D > 0 else mp.mpc(0, mp.sqrt(f))
         value = mp.re(s / tau)
+    return +value
+
+
+def l_value_closed_form(D: int, k: int) -> mpf:
+    """L(k, chi_D) for a fundamental discriminant D != 1 with
+    chi_D(-1) = (-1)^k, at the working precision, from the Bernoulli closed
+    form (Washington, GTM 83, ch. 4) with delta = 0 for D > 0 and 1 for D < 0:
+
+        L(k, chi) = (-1)^(1 + (k - delta)/2) (sqrt(f)/2) (2 pi/f)^k B_{k,chi}/k!
+
+    with B_{k,chi} exact from ``generalized_bernoulli``."""
+    if (D > 0) != (k % 2 == 0):
+        raise ValueError("the closed form needs chi_D(-1) = (-1)^k")
+    f, delta = abs(D), 0 if D > 0 else 1
+    with mp.workprec(mp.prec + 20):
+        b = rational_mpf(generalized_bernoulli(D, k) / math.factorial(k))
+        value = (-1) ** (1 + (k - delta) // 2) * mp.sqrt(f) / 2 * (2 * mp.pi / f) ** k * b
     return +value
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from padic_rama.errors import (
     UnknownCoefficient,
 )
 from padic_rama.exactnum import kronecker, primes_in_range
-from padic_rama.lfunctions import L_nonpositive, QuadCharacter
 from padic_rama.series import ClosedForm, SeriesSpec
 from padic_rama.cli import parse_template
+
+from oracles import L_nonpositive
 
 SEED_7 = Path(__file__).parent / "fixtures" / "seed-7.json"
 
@@ -121,7 +122,7 @@ class TestTemplateRhsMod:
     def test_eq14_at_13_against_exact_oracle(self, templates):
         p = 13
         got = template_rhs_mod(templates["eq14"], p)
-        L = L_nonpositive(QuadCharacter(-4), 5 - p)
+        L = L_nonpositive(-4, 5 - p)
         Lp = L.numerator * pow(L.denominator, -1, p) % p
         pw = p**8
         want = (kronecker(-4, p) * p**3 - 6 * Lp * p**7) % pw

@@ -28,6 +28,7 @@ from oracles import (
     ReferenceSeries,
     gram_schmidt,
     is_lll_reduced,
+    l_value_closed_form,
     l_value_polylog,
     reference_lll,
     reference_shifted_expansion,
@@ -217,19 +218,25 @@ class TestConstantValue:
             assert mp.nstr(v, 8) == "2.236068"
 
     def test_l_values_match_the_polylog_route(self, claims):
-        # every shipped l claim, and a seeded grid of |D| <= 60 and k <= 8
+        # every shipped l claim, and a seeded grid of |D| <= 60 and k <= 8;
+        # where chi_D(-1) = (-1)^k, the Bernoulli closed form is a second oracle
         shipped = {(t.disc, t.k) for cf in claims.values() for cl in cf.claims
                    for t in cl.constants if isinstance(t, Lquad)}
         assert len(shipped) == 7
         discs = [D for D in range(-60, 61) if _is_discriminant(D)]
         rng = random.Random(13)
         grid = {(rng.choice(discs), rng.randint(1, 8)) for _ in range(12)}
+        closed = {(D, k) for D, k in shipped | grid if (D > 0) == (k % 2 == 0)}
+        assert {(5, 2), (-4, 1), (-4, 3), (-23, 1)} <= closed and len(closed & grid) >= 4
         for D, k in sorted(shipped | grid):
             got = constant_value(Lquad(D, k), 512)
             with mp.workprec(512):
-                want = l_value_polylog(D, k)
+                wants = [l_value_polylog(D, k)]
+                if (D, k) in closed:
+                    wants.append(l_value_closed_form(D, k))
             with mp.workprec(600):
-                assert abs(got - want) <= abs(want) * mpf(2) ** -500, (D, k)
+                for want in wants:
+                    assert abs(got - want) <= abs(want) * mpf(2) ** -500, (D, k)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_zeta_values_match_the_oracle(self, k):

@@ -75,18 +75,29 @@ def test_importtime_reader_sees_dataclasses():
     assert SLOW_STDLIB <= names
 
 
+def _imported(path: Path) -> list:
+    """The top-level name of every module an import statement of PATH names,
+    in a function body or at module level."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append((node.module or "").split(".")[0])
+    return names
+
+
 def test_no_module_imports_dataclasses():
     modules = sorted(INIT.parent.glob("*.py"))
     assert len(modules) > 10
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                imported = [node.module or ""]
-            else:
-                continue
-            assert "dataclasses" not in imported, path.name
+        assert "dataclasses" not in _imported(path), path.name
+
+
+@pytest.mark.parametrize("name", ["exactnum", "lfunctions", "congruence", "errors", "_record"])
+def test_p_adic_module_imports_no_mpmath(name):
+    # the p-adic core names mpmath nowhere, not even in a deferred import
+    assert "mpmath" not in _imported(INIT.with_name(f"{name}.py"))
 
 
 def _init_exports() -> list:

@@ -10,17 +10,20 @@ from padic_rama.errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.lfunctions import (
     DISC_MAX,
-    L_nonpositive,
     L_p_mod_p,
     QuadCharacter,
     bernoulli_all_mod_p,
-    bernoulli_exact,
-    generalized_bernoulli,
     parity_zero,
     zeta_p_mod_p,
 )
 
-from oracles import power_sum_bernoulli, zeta_nonpositive
+from oracles import (
+    L_nonpositive,
+    bernoulli_numbers,
+    generalized_bernoulli,
+    power_sum_bernoulli,
+    zeta_nonpositive,
+)
 
 CHI5 = QuadCharacter(5)
 CHI4 = QuadCharacter(-4)
@@ -59,22 +62,25 @@ CLASSICAL_BERNOULLI = {
 
 
 class TestBernoulliExact:
+    """The oracles' exact B_k, which the checks below reduce modulo p."""
+
     def test_classical_table(self):
+        B = bernoulli_numbers(20)
         for k, want in CLASSICAL_BERNOULLI.items():
-            assert bernoulli_exact(k) == want
+            assert B[k] == want
 
     def test_odd_indices_vanish(self):
+        B = bernoulli_numbers(25)
         for k in (3, 5, 7, 9, 25):
-            assert bernoulli_exact(k) == 0
+            assert B[k] == 0
 
     def test_against_akiyama_tanigawa(self):
-        oracle = akiyama_tanigawa(200)
-        for k in range(201):
-            assert bernoulli_exact(k) == oracle[k]
+        assert bernoulli_numbers(200) == tuple(akiyama_tanigawa(200))
 
     def test_von_staudt_clausen_denominators(self):
+        B = bernoulli_numbers(60)
         for n in range(1, 31):
-            denom = bernoulli_exact(2 * n).denominator
+            denom = B[2 * n].denominator
             want = 1
             for q in primes_in_range(2, 2 * n + 1):
                 if (2 * n) % (q - 1) == 0:
@@ -87,10 +93,10 @@ class TestBernoulliModP:
         assert bernoulli_all_mod_p(5) == (1, 2, 1)
 
     def test_matches_exact_reductions(self):
+        B = bernoulli_numbers(98)
         for p in primes_in_range(5, 101):
             table = bernoulli_all_mod_p(p)
-            for k in range(p - 2):
-                b = bernoulli_exact(k)
+            for k, b in enumerate(B[:p - 2]):
                 want = b.numerator * pow(b.denominator, -1, p) % p
                 assert table[k] == want, (p, k)
 
@@ -156,35 +162,33 @@ def genbern_gf_oracle(D, mmax):
 
 class TestGeneralizedBernoulli:
     def test_spec_values(self):
-        assert generalized_bernoulli(CHI4, 1) == Fraction(-1, 2)
-        assert generalized_bernoulli(QuadCharacter(1), 2) == Fraction(1, 6)
-        assert generalized_bernoulli(CHI5, 1) == 0
+        assert generalized_bernoulli(-4, 1) == Fraction(-1, 2)
+        assert generalized_bernoulli(1, 2) == Fraction(1, 6)
+        assert generalized_bernoulli(5, 1) == 0
 
     def test_quadratic_field_zeta_cross_check(self):
         # zeta_{Q(sqrt5)}(-1) = zeta(-1) * L(-1, chi_5) = 1/30
-        assert zeta_nonpositive(-1) * L_nonpositive(CHI5, -1) == Fraction(1, 30)
+        assert zeta_nonpositive(-1) * L_nonpositive(5, -1) == Fraction(1, 30)
 
     @pytest.mark.parametrize("D", [5, -4, -23])
     def test_against_generating_function(self, D):
         oracle = genbern_gf_oracle(D, 8)
-        chi = QuadCharacter(D)
         for m in range(1, 9):
-            assert generalized_bernoulli(chi, m) == oracle[m], (D, m)
+            assert generalized_bernoulli(D, m) == oracle[m], (D, m)
 
 
 class TestLNonpositive:
     def test_values(self):
-        assert L_nonpositive(CHI4, 0) == Fraction(1, 2)
-        assert L_nonpositive(QuadCharacter(1), -1) == Fraction(-1, 12)
-        assert L_nonpositive(CHI5, 0) == 0
+        assert L_nonpositive(-4, 0) == Fraction(1, 2)
+        assert L_nonpositive(1, -1) == Fraction(-1, 12)
+        assert L_nonpositive(5, 0) == 0
         # Euler-number oracle: L(-n, chi_-4) = E_n / 2 with E_2 = -1
-        assert L_nonpositive(CHI4, -2) == Fraction(-1, 2)
+        assert L_nonpositive(-4, -2) == Fraction(-1, 2)
 
     @pytest.mark.parametrize("D", [5, -4, -23])
     def test_trivial_zero_pattern(self, D):
-        chi = QuadCharacter(D)
         for m in range(1, 13):
-            value = L_nonpositive(chi, 1 - m)
+            value = L_nonpositive(D, 1 - m)
             if D > 0:
                 expect_zero = m % 2 == 1  # odd m, including m = 1
             else:
@@ -233,7 +237,7 @@ class TestLPModP:
         for p in primes_in_range(k + 2, 101):
             if abs(D) % p == 0:
                 continue
-            L = L_nonpositive(chi, 1 + k - p)
+            L = L_nonpositive(D, 1 + k - p)
             want = L.numerator * pow(L.denominator, -1, p) % p
             assert L_p_mod_p(chi, k, p) == want, (D, k, p)
 
