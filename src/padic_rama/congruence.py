@@ -6,14 +6,15 @@ term beyond a verified modulus.
 A claim speaks about every prime outside a finite exceptional set, and
 ``_judge`` is the one statement of that set: primes dividing a denominator
 of the series, the scale, or a known coefficient, and primes where a
-template constant has no value, which ``constant_mod_p`` alone decides (a
+template constant has no value, which ``_values`` alone decides (a
 discriminant or conductor prime, or one below a one-digit constant's reach
 p >= k+2).  ``inadmissible`` and ``admissible_primes`` are views of it.
 
 Verify, fit and scan each judge their primes once, dropping the
 inadmissible ones, and read the sums once (``truncated_sums_mod``).  The
 judgement reads each template constant once over the range
-(``constant_digits``); every later step takes the values from that table.
+(``constant_digits``: one ``lfunctions.L_p_digits`` pass for a one-digit
+constant); every later step takes the values from that table.
 ``_residuals`` (sum minus the known terms) serves every command, and
 ``_read_coefficient`` (one slot's digits -> CRT -> rational) fit and scan.
 Each command returns a record (``CongruenceReport``, ``FitResult``,
@@ -36,7 +37,8 @@ from .errors import (
     UnknownCoefficient,
 )
 from .exactnum import ResidueClass, crt_combine, kronecker, rational_reconstruct, valuation
-from .lfunctions import L_p_mod_p, QuadCharacter, check_L_p, parity_zero, zeta_p_mod_p
+from .lfunctions import L_p_digits, QuadCharacter, check_L_p, parity_zero
+from .lfunctions import L_p_mod_p, zeta_p_mod_p  # noqa: F401  (perfbench/traced.py wraps these names)
 from .series import SeriesSpec, truncated_sums_mod
 from .series import truncated_sum_mod  # noqa: F401  (perfbench/traced.py wraps this name)
 
@@ -94,36 +96,35 @@ def is_structural_zero(constant: TemplateConstant) -> bool:
     return isinstance(constant, ONE_DIGIT) and parity_zero(constant.disc, constant.k)
 
 
-def constant_mod_p(constant: TemplateConstant, p: int) -> int:
-    """The constant's value at p: exactly +-1/1 for One/Kron (valid modulo
-    every power of p), and the single mod-p digit for ZetaP/LQp (which is
-    all that exists of them).  Where it has none it raises BadPrime or
-    PrecisionUnavailable, and ``constant_digits`` keeps the message."""
-    if isinstance(constant, One):
-        return 1
+def _values(constant: TemplateConstant,
+            primes: Iterable[int]) -> dict[int, Union[int, Exception]]:
+    """{p: the constant's value at p, or the BadPrime or PrecisionUnavailable
+    that says why it has none}: exactly +-1/1 for One/Kron (valid modulo every
+    power of p), and the single mod-p digit for ZetaP/LQp (``L_p_digits``)."""
+    if isinstance(constant, ONE_DIGIT):
+        return L_p_digits(QuadCharacter(constant.disc), constant.k, primes)
     if isinstance(constant, Kron):
-        value = kronecker(constant.disc, p)
-        if value == 0:
-            raise BadPrime(f"p={p} divides the discriminant {constant.disc}")
-        return value
-    if isinstance(constant, ZetaP):
-        return zeta_p_mod_p(constant.k, p)
-    if isinstance(constant, LQp):
-        return L_p_mod_p(QuadCharacter(constant.disc), constant.k, p)
+        return {p: kronecker(constant.disc, p)
+                or BadPrime(f"p={p} divides the discriminant {constant.disc}") for p in primes}
+    if isinstance(constant, One):
+        return dict.fromkeys(primes, 1)
     raise TypeError(f"unknown template constant {constant!r}")
+
+
+def constant_mod_p(constant: TemplateConstant, p: int) -> int:
+    """``_values`` at the single prime p, raising what it holds instead of a value."""
+    value = _values(constant, [p])[p]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def constant_digits(constant: TemplateConstant,
                     primes: Iterable[int]) -> dict[int, Union[int, str]]:
     """{p: ``constant_mod_p(constant, p)``, or the message of what it raises
     at p}: the one place a command evaluates a constant."""
-    out = {}
-    for p in primes:
-        try:
-            out[p] = constant_mod_p(constant, p)
-        except (BadPrime, PrecisionUnavailable) as exc:
-            out[p] = str(exc)
-    return out
+    return {p: str(v) if isinstance(v, Exception) else v
+            for p, v in _values(constant, primes).items()}
 
 
 @record

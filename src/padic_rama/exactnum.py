@@ -1,5 +1,7 @@
 """Exact-arithmetic substrate: rationals, their reduction modulo prime powers
-with tracked valuation, Kronecker symbols, CRT and rational reconstruction.
+with tracked valuation, Kronecker symbols, CRT and rational reconstruction,
+and the one integer recurrence (``_step``, ``_steps``) whose prefix sums
+``prefix_sums_mod`` reads for the truncated sums and the zeta_p/L_p digits.
 
 Rationals are stdlib ``fractions.Fraction`` throughout: it already guarantees
 the canonical form (reduced, positive denominator, zero = 0/1) that every
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .errors import NegativeValuationSum, NonCoprimeModuli, PrecisionUnavailable
@@ -208,6 +210,70 @@ def rational_reconstruct(r: ResidueClass) -> Optional[Fraction]:
     if (q.numerator - r.value * q.denominator) % M != 0:
         return None
     return q
+
+
+def _step(factors, n: int) -> tuple[int, int, int]:
+    """Step n of the one integer recurrence behind every exact sum, as a
+    triple (q, t, p) acting on the state (N, D, H) by
+
+        N <- q*N + t*H,   D <- q*D,   H <- p*H.
+
+    With (num, den, a, b, c, _) from ``series._integer_factors`` and the
+    start state (0, c.denominator, c.numerator), the state after step n has
+    N/D equal to the sum of terms 0..n and a(n)*H/D equal to term n.  Step n
+    advances the ratio past n - 1 (N, D times den(n-1), H times
+    num(n-1)*b(n-1)) and then adds term n (N <- N*b(n) + a(n)*H, D <- D*b(n)).
+    """
+    num, den, a, b, _, _ = factors
+    if n == 0:
+        return b(0), a(0), 1
+    p = num(n - 1) * b(n - 1)
+    return den(n - 1) * b(n), a(n) * p, p
+
+
+def _steps(factors, lo: int, hi: int, modulus: int = 0) -> tuple[int, int, int]:
+    """Steps lo..hi-1 of ``_step`` as one triple: step (q1, t1, p1) followed
+    by (q2, t2, p2) is (q1*q2, q2*t1 + t2*p1, p1*p2).  Up to 8 steps are
+    folded in a loop; longer runs split in halves (binary splitting).  With
+    a modulus, a node with an entry longer than twice the modulus is reduced
+    modulo it, so the triple is right modulo the modulus; without one it is
+    exact."""
+    if hi - lo <= 8:
+        q, t, p = _step(factors, lo)
+        for n in range(lo + 1, hi):
+            q2, t2, p2 = _step(factors, n)
+            q, t, p = q * q2, q2 * t + t2 * p, p * p2
+        return q, t, p
+    mid = (lo + hi) // 2
+    q1, t1, p1 = _steps(factors, lo, mid, modulus)
+    q2, t2, p2 = _steps(factors, mid, hi, modulus)
+    q, t, p = q1 * q2, q2 * t1 + t2 * p1, p1 * p2
+    if modulus and max(q.bit_length(), t.bit_length(), p.bit_length()) > 2 * modulus.bit_length():
+        return q % modulus, t % modulus, p % modulus
+    return q, t, p
+
+
+def prefix_sums_mod(factors, indices: Iterable[int],
+                    moduli: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """N and D modulo each of the pairwise coprime moduli, where N/D is the
+    sum of terms 0..index-1 at the matching one of the sorted indices (the
+    pair, since D may share a prime with its modulus).  One ``_steps`` tree
+    per gap moves the state, exact until D outgrows the product R of the
+    moduli still to be read (its size estimated from the current modulus)
+    and kept modulo R from then on, so no read pays for a state beyond R."""
+    *_, c, _ = factors
+    N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
+    done = R = 0  # R is 0 or the product of the moduli still to be read
+    for i, (index, modulus) in enumerate(zip(indices, moduli)):
+        if index > done:
+            q, t, s = _steps(factors, done, index, R)
+            N, D, H = q * N + t * H, q * D, s * H
+            done = index
+            if R or D.bit_length() > modulus.bit_length() * (len(moduli) - i):
+                R = R or math.prod(moduli[i:])
+                N, D, H = N % R, D % R, H % R
+        yield N % modulus, D % modulus
+        R //= modulus
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

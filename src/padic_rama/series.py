@@ -1,9 +1,9 @@
 """Data model and evaluators for Ramanujan-like hypergeometric series: one
-integer recurrence, written once as the step triple of ``_step`` and combined
-only by the product tree ``_steps``, gives both the truncated sums over
-n = 0..p-1 modulo p^m at many primes (one tree per gap between primes, with
-the state kept modulo the prime powers still to be read) and the full sums
-(summed exactly and rounded once), to check against their closed forms.
+integer recurrence, the step triple ``exactnum._step`` on the integer
+factors of ``_integer_factors``, gives both the truncated sums over
+n = 0..p-1 modulo p^m at many primes (read by ``exactnum.prefix_sums_mod``)
+and the full sums (summed exactly by the product tree ``exactnum._steps``
+and rounded once), to check against their closed forms.
 ``truncated_sum_exact`` sums the first p terms in Fractions, as the
 reference for the modular sums.
 """
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from ._record import record, replace
 from .constants import PiPower, SqrtDisc, constant_value, to_mpf
 from .errors import BadPrime, InvariantViolation, NegativeValuationSum
-from .exactnum import valuation
+from .exactnum import _steps, prefix_sums_mod, valuation
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -181,47 +181,6 @@ def _integer_factors(spec: SeriesSpec):
             b, spec.multiplier * lin_den / poly_den, (den_k, lower, lin))
 
 
-def _step(factors, n: int) -> tuple[int, int, int]:
-    """Step n of the one integer recurrence behind every sum of a series, as
-    a triple (q, t, p) acting on the state (N, D, H) by
-
-        N <- q*N + t*H,   D <- q*D,   H <- p*H.
-
-    With (num, den, a, b, c, _) from ``_integer_factors`` and the start state
-    (0, c.denominator, c.numerator), the state after step n has N/D equal to
-    the sum of terms 0..n and a(n)*H/D equal to term n.  Step n advances the
-    ratio past n - 1 (N, D times den(n-1), H times num(n-1)*b(n-1)) and then
-    adds term n (N <- N*b(n) + a(n)*H, D <- D*b(n)).
-    """
-    num, den, a, b, _, _ = factors
-    if n == 0:
-        return b(0), a(0), 1
-    p = num(n - 1) * b(n - 1)
-    return den(n - 1) * b(n), a(n) * p, p
-
-
-def _steps(factors, lo: int, hi: int, modulus: int = 0) -> tuple[int, int, int]:
-    """Steps lo..hi-1 of ``_step`` as one triple: step (q1, t1, p1) followed
-    by (q2, t2, p2) is (q1*q2, q2*t1 + t2*p1, p1*p2).  Up to 8 steps are
-    folded in a loop; longer runs split in halves (binary splitting).  With
-    a modulus, a node with an entry longer than twice the modulus is reduced
-    modulo it, so the triple is right modulo the modulus; without one it is
-    exact."""
-    if hi - lo <= 8:
-        q, t, p = _step(factors, lo)
-        for n in range(lo + 1, hi):
-            q2, t2, p2 = _step(factors, n)
-            q, t, p = q * q2, q2 * t + t2 * p, p * p2
-        return q, t, p
-    mid = (lo + hi) // 2
-    q1, t1, p1 = _steps(factors, lo, mid, modulus)
-    q2, t2, p2 = _steps(factors, mid, hi, modulus)
-    q, t, p = q1 * q2, q2 * t1 + t2 * p1, p1 * p2
-    if modulus and max(q.bit_length(), t.bit_length(), p.bit_length()) > 2 * modulus.bit_length():
-        return q % modulus, t % modulus, p % modulus
-    return q, t, p
-
-
 def _linear_valuation(u: int, w: int, p: int, count: int) -> int:
     """v_p of prod_{0<=k<count} (u + w*k), no factor zero: the sum over e >= 1
     of the number of k < count with p^e | u + w*k.  With p^j = gcd(w, p^e),
@@ -252,16 +211,10 @@ def _den_valuation(factors, p: int) -> int:
 
 def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[int, int]:
     """The truncated sum over n < p modulo p^m, as an integer in [0, p^m),
-    for every prime p given.  The state (N, D, H) of ``_step`` runs up the
-    sorted primes by one ``_steps`` tree per gap, the first over
-    0..min(primes), so that N/D is the sum of terms 0..p-1 when it reaches
-    p.  There the sum is (N / p^v) * (D / p^v)^-1 modulo p^m, with
-    v = v_p(D) counted from the factor data (``_den_valuation``), so only
-    N and D modulo p^(m+v) are read.  The state is therefore kept modulo R,
-    the product of p^(m+v) over the primes still to be read: each read
-    divides R by its own prime power, and the trees reduce modulo R every
-    node that outgrows it.  No prime pays for the exact state, which grows
-    with the range.
+    for every prime p given, from the state (N, D) after step p - 1 of
+    ``_step`` (``prefix_sums_mod``): with v = v_p(D) counted from the factor
+    data (``_den_valuation``), it is (N / p^v) * (D / p^v)^-1 modulo p^m, so
+    N and D are read modulo p^(m+v).
 
     Raises BadPrime when a prime divides a structural denominator, and
     NegativeValuationSum at the first prime where the sum is not p-integral.
@@ -275,27 +228,19 @@ def truncated_sums_mod(spec: SeriesSpec, primes: Iterable[int], m: int) -> dict[
     for p in primes:
         if why := spec.inadmissible(p):
             raise BadPrime(why)
-    *_, c, _ = factors = _integer_factors(spec)
+    factors = _integer_factors(spec)
     vs = [_den_valuation(factors, p) for p in primes]
-    powers = [p ** (m + v) for p, v in zip(primes, vs)]
-    R = math.prod(powers)  # the prime powers still to be read
-    N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
-    done = 0
+    reads = prefix_sums_mod(factors, primes, [p ** (m + v) for p, v in zip(primes, vs)])
     out: dict[int, int] = {}
-    for p, v, pe in zip(primes, vs, powers):
-        q, t, s = _steps(factors, done, p, R)
-        N, D, H = (q * N + t * H) % R, q * D % R, s * H % R
-        done = p
-        top, bottom, pv = N % pe, D % pe, p**v
+    for p, v, (top, bottom) in zip(primes, vs, reads):
+        pv, pm = p**v, p**m
         if bottom % pv or bottom % (pv * p) == 0:
             raise RuntimeError(f"{spec.name} at p={p}: v_p(D) is not {v}")
         if top % pv:
             raise NegativeValuationSum(
                 f"{spec.name} at p={p}: sum has valuation {valuation(top, p) - v}"
             )
-        pm = pe // pv
         out[p] = top // pv * pow(bottom // pv, -1, pm) % pm
-        R //= pe
     return out
 
 

@@ -13,8 +13,9 @@ each one starts again from the public series data, characters and mpmath.
 - ``padic_truncated_sum``: one truncated sum modulo p^m from its terms'
   valuations and unit parts, on the integer factors above: a row check that
   scales to large p.
-- ``power_sum_bernoulli``: B_{m,chi} mod p with one ``pow`` per b, the route
-  that the multiplicative sieve of ``lfunctions`` replaced.
+- ``power_sum_bernoulli``: B_{m,chi} mod p with one ``pow`` per b, and
+  ``power_sum_digit``, the digit of zeta_p or L_p it gives (or why a prime
+  has none): the route that ``lfunctions`` rewrites as class prefix sums.
 - ``reference_lll``: the textbook LLL in Fractions.
 - ``taylor_ratios``: ``shifted_expansion`` against ``mp.taylor`` of the
   x-extended sum.
@@ -52,7 +53,7 @@ from typing import Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from padic_rama.errors import NegativeValuationSum
+from padic_rama.errors import BadPrime, NegativeValuationSum, PrecisionUnavailable
 from padic_rama.exactnum import kronecker
 from padic_rama.series import SeriesSpec
 
@@ -257,8 +258,8 @@ def padic_truncated_sum(spec: SeriesSpec, p: int, m: int) -> int:
 
 def power_sum_bernoulli(D: int, m: int, p: int) -> int:
     """B_{m,chi} mod p from sum_{a<=fp} chi(a) a^m = f p B_{m,chi} (mod p^2),
-    split as a = b + p j, with a ``pow`` at every b < p: the route the
-    multiplicative sieve of ``lfunctions._bernoulli_chi_mod_p`` replaced."""
+    split as a = b + p j, with a ``pow`` modulo p^2 at every b < p: the sum
+    that the class prefix sums of ``lfunctions.L_p_digits`` rewrite."""
     f, pp = abs(D), p * p
     chi = [kronecker(D, r or f) for r in range(f)]
     whole = sum(chi)
@@ -270,6 +271,25 @@ def power_sum_bernoulli(D: int, m: int, p: int) -> int:
     total = sum((whole * b + m * p * weight[b % f]) * pow(b, m - 1, pp)
                 for b in range(1, p))
     return total % pp // p * pow(f, -1, p) % p
+
+
+def power_sum_digit(D: int, k: int, p: int):
+    """The single digit of L_{D,p}(k) (D = 1: zeta_p(k)), -B_{m,chi}/m mod p
+    with m = p-k and B_{m,chi} from ``power_sum_bernoulli``, or the
+    (exception class, message) of why p has none, the rules stated again:
+    BadPrime at a prime dividing the conductor, PrecisionUnavailable at k = 1
+    for an even character, 0 at the parity zeros chi(-1) = (-1)^k (where
+    2 <= m <= p-2 it is the power sum that must vanish) and
+    PrecisionUnavailable elsewhere below p >= k+2."""
+    if abs(D) % p == 0:
+        return BadPrime, f"p={p} divides the conductor {abs(D)}"
+    if k == 1 and D > 0:
+        return PrecisionUnavailable, "L_p(1) of an even character needs B_{p-1}"
+    if 2 <= k <= p - 2:
+        return -power_sum_bernoulli(D, p - k, p) * pow(p - k, -1, p) % p
+    if (D > 0) == (k % 2 == 0):
+        return 0
+    return PrecisionUnavailable, f"L_p({k}) mod {p} needs p >= {k + 2}"
 
 
 

@@ -34,7 +34,7 @@ from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.series import ClosedForm, SeriesSpec
 from padic_rama.cli import parse_template
 
-from oracles import L_nonpositive
+from oracles import L_nonpositive, power_sum_digit
 
 SEED_7 = Path(__file__).parent / "fixtures" / "seed-7.json"
 
@@ -397,6 +397,34 @@ class TestConstantModP:
         assert constant_mod_p(ONE, 7) == 1
         assert constant_mod_p(Kron(5), 7) == -1
         assert constant_mod_p(Kron(5), 11) == 1
+
+    @staticmethod
+    def _want(constant, p):
+        """The oracle's digit of a one-digit constant at p, or the message
+        of why p has none."""
+        want = power_sum_digit(constant.disc, constant.k, p)
+        return want[1] if isinstance(want, tuple) else want
+
+    def test_shipped_digits_at_large_primes(self):
+        # one pass over an unsorted list with repeats, conductor primes and
+        # primes below the reach p >= k+2 agrees with each prime on its own
+        # and with the power sum
+        large = random.Random(2311).sample(primes_in_range(2000, 10000), 6)
+        primes = [*large, 23, 3, 5, large[0], 2, 5, *large[3:]]
+        for c in (ZetaP(3), LQp(5, 3), LQp(-4, 4), LQp(-23, 2)):
+            table = constant_digits(c, primes)
+            assert set(table) == set(primes), c
+            for p in primes:
+                try:
+                    alone = constant_mod_p(c, p)
+                except (BadPrime, PrecisionUnavailable) as exc:
+                    alone = str(exc)
+                assert table[p] == alone == self._want(c, p), (c, p)
+            assert sum(isinstance(d, str) for d in table.values()) >= 2, c
+        window = primes_in_range(9001, 9200)[:10]
+        for c in (LQp(-995, 2), LQp(997, 3)):
+            table = constant_digits(c, window[::-1])
+            assert table == {p: self._want(c, p) for p in window}, c
 
 
 class TestAdmissibility:

@@ -5,11 +5,11 @@ from math import comb
 import pytest
 import sympy
 
-from padic_rama import lfunctions
 from padic_rama.errors import BadPrime, InvariantViolation, PrecisionUnavailable
 from padic_rama.exactnum import kronecker, primes_in_range
 from padic_rama.lfunctions import (
     DISC_MAX,
+    L_p_digits,
     L_p_mod_p,
     QuadCharacter,
     bernoulli_all_mod_p,
@@ -21,7 +21,7 @@ from oracles import (
     L_nonpositive,
     bernoulli_numbers,
     generalized_bernoulli,
-    power_sum_bernoulli,
+    power_sum_digit,
     zeta_nonpositive,
 )
 
@@ -320,40 +320,50 @@ def _digit(D, k, p):
         return type(exc), str(exc)
 
 
+def _digits(D, k, primes):
+    """``L_p_digits`` over the primes in one pass, each exception as its
+    class and message."""
+    return {p: (type(d), str(d)) if isinstance(d, Exception) else d
+            for p, d in L_p_digits(QuadCharacter(D), k, primes).items()}
+
+
 class TestSieveAgainstPowerSum:
-    """The sieved powers of ``_bernoulli_chi_mod_p`` against one ``pow`` per
-    b: every digit, exception and message of L_p_mod_p on the grid, and the
-    Bernoulli residues themselves at every m for small p and in a far window
-    (parity zeros included, where the sum must cancel modulo p^2)."""
+    """The prefix-sum digits against the power sum with a ``pow`` at every b
+    (``oracles.power_sum_digit``), one prime at a time (``L_p_mod_p``) and in
+    one pass (``L_p_digits``): every digit, exception and message on the grid,
+    at every k below p for small p, and in a far window (parity zeros
+    included, where the power sum must cancel modulo p^2)."""
 
     GRID = [(1, k) for k in range(2, 12)] + [
         (D, k) for D in (-4, -3, 5, 8, -23, 12, 13, -8) for k in range(1, 10)]
 
-    def test_digits_match_on_the_grid(self, monkeypatch):
-        cases = [(D, k, p) for D, k in self.GRID for p in primes_in_range(5, 400)]
-        with monkeypatch.context() as patch:
-            patch.setattr(lfunctions, "_bernoulli_chi_mod_p", power_sum_bernoulli)
-            want = [_digit(*case) for case in cases]
-        got = [_digit(*case) for case in cases]
+    def test_digits_match_on_the_grid(self):
+        primes = primes_in_range(5, 400)
+        cases = [(D, k, p) for D, k in self.GRID for p in primes]
+        want = [power_sum_digit(*case) for case in cases]
+        assert len(cases) == 6232
         assert sum(isinstance(w, int) and w != 0 for w in want) > 1500
         assert sum(isinstance(w, tuple) for w in want) > 100
-        for case, g, w in zip(cases, got, want):
-            assert g == w, case
+        batches = {(D, k): _digits(D, k, primes) for D, k in self.GRID}
+        for (D, k, p), w in zip(cases, want):
+            assert _digit(D, k, p) == w, (D, k, p)
+            assert batches[D, k][p] == w, (D, k, p)
 
     @pytest.mark.parametrize("D", [1, -3, -4, 5, 8, -23, 997])
     def test_every_m_at_small_primes(self, D):
-        for p in primes_in_range(5, 60):
-            if D % p:
-                for m in range(2, p - 1):
-                    assert (lfunctions._bernoulli_chi_mod_p(D, m, p)
-                            == power_sum_bernoulli(D, m, p)), (D, m, p)
+        # every m = p-k in 2..p-2, and the k past the reach, at p below 60
+        primes = primes_in_range(5, 60)
+        for k in range(1, 60):
+            got = _digits(D, k, primes)
+            for p in primes:
+                assert got[p] == power_sum_digit(D, k, p), (D, k, p)
 
     @pytest.mark.parametrize("D,k", [(1, 3), (-4, 3), (5, 2), (997, 3)])
     def test_far_window(self, D, k):
         primes = primes_in_range(9001, 9200)[:10]
         assert len(primes) == 10 and primes[0] == 9001
+        got = _digits(D, k, primes)
         for p in primes:
-            assert (lfunctions._bernoulli_chi_mod_p(D, p - k, p)
-                    == power_sum_bernoulli(D, p - k, p)), (D, k, p)
-            want = -power_sum_bernoulli(D, p - k, p) * pow(p - k, -1, p) % p
-            assert _digit(D, k, p) == (0 if parity_zero(D, k) else want), (D, k, p)
+            want = power_sum_digit(D, k, p)
+            assert isinstance(want, int) and (want == 0 or not parity_zero(D, k)), (D, k, p)
+            assert got[p] == _digit(D, k, p) == want, (D, k, p)
