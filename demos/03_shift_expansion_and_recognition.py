@@ -3,7 +3,7 @@
 Replacing every index n by n+x (rising factorials continued through the
 gamma function) turns each series into a power series in x whose
 coefficients are rational combinations of zeta values, quadratic L-values,
-powers of 1/pi and square roots.  Integer-relation detection (exact LLL)
+powers of 1/pi and square roots.  Integer-relation detection (mpmath's PSLQ)
 recovers those rational multiples from nothing but the numerical
 coefficients.
 """
@@ -25,7 +25,7 @@ print(f"{spec.name}: x-shift expansion to order 5 "
 for k, c in enumerate(ts.coeffs):
     print(f"  x^{k}: {mp.nstr(c, 35)}")
 
-# Which constants are these?  Ask the lattice.
+# Which constants are these?  Ask PSLQ.
 probes = {
     0: [PiPower(2)],
     2: [Zeta(2)],     # wrong basis on purpose: the coefficient is rational

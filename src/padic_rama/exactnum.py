@@ -258,19 +258,25 @@ def prefix_sums_mod(factors, indices: Iterable[int],
     """N and D modulo each of the pairwise coprime moduli, where N/D is the
     sum of terms 0..index-1 at the matching one of the sorted indices (the
     pair, since D may share a prime with its modulus).  One ``_steps`` tree
-    per gap moves the state, exact until D outgrows the product R of the
-    moduli still to be read (its size estimated from the current modulus)
-    and kept modulo R from then on, so no read pays for a state beyond R."""
+    per gap moves the state.  It stays exact while D after the gap fits in
+    the product R of the moduli still to be read, both sizes estimated: D
+    as D times the gap's last step factor once per step (an upper bound when
+    the step factors grow with n, as every client's do), R from the current
+    modulus.  From the first gap where it would not, R is built before the
+    gap and the state is kept modulo R, so no read, the first one included,
+    pays for a state beyond R."""
     *_, c, _ = factors
     N, D, H = 0, c.denominator, c.numerator  # the state before step `done`
     done = R = 0  # R is 0 or the product of the moduli still to be read
     for i, (index, modulus) in enumerate(zip(indices, moduli)):
         if index > done:
+            if not R and (D.bit_length() + (index - done) * _step(factors, index)[0].bit_length()
+                          > modulus.bit_length() * (len(moduli) - i)):
+                R = math.prod(moduli[i:])
             q, t, s = _steps(factors, done, index, R)
             N, D, H = q * N + t * H, q * D, s * H
             done = index
-            if R or D.bit_length() > modulus.bit_length() * (len(moduli) - i):
-                R = R or math.prod(moduli[i:])
+            if R:
                 N, D, H = N % R, D % R, H % R
         yield N % modulus, D % modulus
         R //= modulus

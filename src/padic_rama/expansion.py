@@ -35,7 +35,7 @@ from mpmath.libmp import (MPZ_ONE, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, m
 from ._record import record
 from .constants import ConstantTag, constant_value, to_mpf
 from .errors import InsufficientPrecision
-from .lattice import lll_reduce
+from .lattice import lll_reduce  # noqa: F401  (perfbench/traced.py wraps this name)
 from .series import SeriesSpec
 
 _WORK_GUARD = 64
@@ -246,10 +246,12 @@ def recognize(
     height_bound: int,
     precision_bits: int,
 ) -> Optional[tuple[int, list[int]]]:
-    """Find (q, a) with q*c = sum a_i * value(basis_i), all heights bounded
-    by height_bound, via LLL on the scaled integer-relation lattice; the
-    relation is verified against a residual threshold before being returned.
-    Returns None when no bounded relation exists.
+    """Find (q, a) with q*c = sum a_i * value(basis_i), q > 0 and all heights
+    at most height_bound, with mpmath's PSLQ (Ferguson, Bailey and Arno,
+    Math. Comp. 1999); the relation is verified against a residual threshold
+    before being returned.  Returns None when no bounded relation exists.
+    Raises ValueError when the basis values are dependent over Q (PSLQ finds
+    a relation among them alone), so a returned relation always has q != 0.
     """
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
@@ -259,35 +261,24 @@ def recognize(
             f"precision {precision_bits} bits < required {math.ceil(needed)}"
         )
     values = [constant_value(tag, precision_bits) for tag in basis]
-    if len({mp.nstr(v, 40) for v in values}) != len(values):
-        raise ValueError("basis values must be pairwise distinct")
     with mp.workprec(precision_bits + _WORK_GUARD):
         threshold = mpf(2) ** (-(precision_bits // 2))
+
+        def relation(xs):  # every |m_i| < maxcoeff, and residual below tol
+            return mp.pslq(xs, tol=threshold, maxcoeff=height_bound + 1, maxsteps=10**6)
+
+        if len(values) > 1 and relation(values):
+            raise ValueError("basis values are dependent over Q")
         if abs(c) < threshold:
             return 1, [0] * len(basis)
-        xs = [mpf(c)] + [mpf(v) for v in values]
-        scale = mpf(2) ** (precision_bits - 48)
-        rows = []
-        for i, x in enumerate(xs):
-            row = [0] * len(xs) + [int(mp.nint(scale * x))]
-            row[i] = 1
-            rows.append(row)
-        reduced = lll_reduce(rows)
-        k = len(xs)
-        for row in sorted(reduced, key=lambda r: sum(x * x for x in r)):
-            m = row[:k]
-            q, rest = m[0], m[1:]
-            if q == 0:
-                continue
-            if max(abs(t) for t in m) > height_bound:
-                continue
-            resid = abs(sum(mi * xi for mi, xi in zip(m, xs)))
-            if resid < threshold:
-                a = [-t for t in rest]
-                if q < 0:
-                    q, a = -q, [-t for t in a]
-                return q, a
-    return None
+        xs = [mpf(c), *values]
+        m = relation(xs)
+        if m is None or max(map(abs, m)) > height_bound:
+            return None
+        if abs(sum(mi * xi for mi, xi in zip(m, xs))) >= threshold:
+            return None
+    q, a = m[0], [-t for t in m[1:]]
+    return (q, a) if q > 0 else (-q, [-t for t in a])
 
 
 @record

@@ -626,6 +626,24 @@ def test_sum_check_prints_high_precision_fields(capsys):
     assert capsys.readouterr().out.endswith(" -> PASS\n")
 
 
+# sum (1/2)_n/n! 2^-n (n - r) = sqrt(2) (1/2 - r) with r = 40 + 10^-9: term 40
+# is tiny, the terms after it regrow, and the stop rule takes term 40's size
+TAIL_PAST_A_ROOT = str(Path(__file__).parent / "fixtures" / "tail-past-a-root.json")
+
+
+def test_sum_check_with_a_root_past_the_stop_at_256_bits():
+    assert main(["sum-check", "--spec", TAIL_PAST_A_ROOT, "--prec", "256"]) == EXIT_OK
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the tail bound is not certified: at 64 bits the sum stops at n = 40, "
+           "next to the root of P, and abs_diff 1.56e-13 exceeds tail_bound 2.02e-22",
+)
+def test_sum_check_with_a_root_past_the_stop_at_64_bits():
+    assert main(["sum-check", "--spec", TAIL_PAST_A_ROOT, "--prec", "64"]) == EXIT_OK
+
+
 def test_template_mod_power_bounded_like_option(tmp_path, capsys):
     # exact constants only, so nothing else limits the modulus power
     bad = tmp_path / "bad.json"

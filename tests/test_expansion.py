@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from padic_rama.constants import Lquad, PiPower, SqrtDisc, Zeta, constant_value
+from padic_rama import expansion as expansion_module
+from padic_rama.constants import Lquad, One, PiPower, SqrtDisc, Zeta, constant_value
 from padic_rama.errors import InsufficientPrecision, InvariantViolation
 from padic_rama.expansion import (
     ExpansionClaim,
@@ -384,6 +386,17 @@ class TestKernelMatchesReference:
             _raw(reference_shifted_expansion(spec, K, bits))
 
 
+# the constants of the benchmark's recognition targets, in closed form
+CLOSED_FORMS = {
+    Zeta(2): lambda: mp.pi**2 / 6,
+    Zeta(3): lambda: +mp.apery,
+    PiPower(2): lambda: 1 / mp.pi**2,
+    Lquad(5, 2): lambda: 4 * mp.pi**2 / (25 * mp.sqrt(5)),
+    Lquad(-4, 1): lambda: mp.pi / 4,
+}
+NONZERO = [a for a in range(-30, 31) if a]
+
+
 class TestRecognize:
     def test_fifty_zeta2(self):
         with mp.workprec(320):
@@ -419,6 +432,45 @@ class TestRecognize:
     def test_insufficient_precision(self):
         with pytest.raises(InsufficientPrecision):
             recognize(mp.one, [Zeta(2), Zeta(3)], 10**6, 64)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_combinations_at_512_bits(self, seed):
+        # targets of the benchmark's shape, built from closed forms in mpmath
+        rng = random.Random(f"recognize-{seed}")
+        basis = rng.sample(list(CLOSED_FORMS), rng.choice((3, 4)))
+        q, a = rng.randint(1, 12), [rng.choice(NONZERO) for _ in basis]
+        g = math.gcd(q, *a)
+        q, a = q // g, [x // g for x in a]
+        with mp.workprec(576):
+            c = mp.fsum(x * CLOSED_FORMS[tag]() for x, tag in zip(a, basis)) / q
+        assert recognize(c, basis, 10**6, 512) == (q, a)
+
+    @pytest.mark.parametrize("bits", [160, 200])
+    def test_target_rounded_to_the_precision_asked_for(self, bits):
+        # c carries `bits` bits only, below what PSLQ's default tolerance at
+        # bits + 64 asks of a relation
+        with mp.workprec(bits):
+            c = mpf(110875) / 32 * (mp.pi**2 / 6)
+        assert recognize(c, [Zeta(2)], 10**6, bits) == (32, [110875])
+
+    @pytest.mark.parametrize("basis", [[One(), SqrtDisc(4)], [Zeta(2), Zeta(2)]],
+                             ids=["one-and-two", "repeated"])
+    def test_dependent_basis_raises(self, basis):
+        # a relation among the basis alone would make q = 0 possible, or one
+        # of infinitely many relations for c the answer, such as (7, [1, 1])
+        with mp.workprec(320):
+            c = mpf(3) / 7
+        with pytest.raises(ValueError, match="dependent over Q"):
+            recognize(c, basis, 10**6, 256)
+
+    def test_needs_no_lattice_reduction(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("recognize called lll_reduce")
+
+        monkeypatch.setattr(expansion_module, "lll_reduce", refuse)
+        with mp.workprec(320):
+            c = 3 * constant_value(Zeta(2), 256) - mpf(7) / 2 * constant_value(Zeta(3), 256)
+        assert recognize(c, [Zeta(2), Zeta(3)], 10**6, 256) == (2, [6, -7])
 
 
 class TestVerifyExpansion:

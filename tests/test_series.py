@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from padic_rama import replace
+from padic_rama import exactnum, replace
 from padic_rama import series as series_module
 from padic_rama.errors import BadPrime, InvariantViolation, NegativeValuationSum
 from padic_rama.exactnum import primes_in_range, reduce_rational, valuation
@@ -179,6 +180,25 @@ class TestTruncatedSumMod:
         assert got == {p: full[p] for p in window}
         want = reduce_rational(truncated_sum_exact(spec, 1009), 1009, 6)
         assert got[1009] == want.residue(6)
+
+    def test_state_is_kept_modulo_the_moduli_from_the_first_gap(self, series, monkeypatch):
+        # built exactly, the first gap (n < 9001) has entries of 589226 bits;
+        # the product of the moduli p^5 has 7399 bits
+        spec = series["eq2"]
+        primes = [p for p in primes_in_range(9000, 10000) if not spec.inadmissible(p)]
+        widest = 0
+        steps = exactnum._steps
+
+        def recording(*args):
+            nonlocal widest
+            out = steps(*args)
+            widest = max(widest, *(x.bit_length() for x in out))
+            return out
+
+        monkeypatch.setattr(exactnum, "_steps", recording)
+        got = truncated_sums_mod(spec, primes, 5)
+        assert widest <= 4 * math.prod(p**5 for p in primes).bit_length()
+        assert got[primes[0]] == padic_truncated_sum(spec, primes[0], 5)
 
     def test_batch_matches_single_primes(self, series):
         spec = series["eq15"]
