@@ -8,8 +8,8 @@ Exit codes: 0 all checks pass, 1 a mathematical claim failed, 2 usage or
 configuration error (an unreadable path included), 3 precision unavailable.
 
 The p-adic commands (congruence, fit, scan) load neither mpmath nor the
-``expansion`` and ``lattice`` layers: ``_archimedean`` binds the names that
-sum-check, expand and claims files use on first need.
+``expansion`` and ``lattice`` layers: the others import what they use on
+first need, the expand drivers through ``_archimedean``.
 """
 
 from __future__ import annotations
@@ -72,16 +72,14 @@ SERIES_LIST_MAX = 32     # entries of a series' upper, lower and poly lists
 SUM_TERMS_MAX = 2**16    # sum-check: terms
 EXPAND_WORK_MAX = 2**35  # expand: terms * (order + 1) * max(prec, 1024)^2
 
-_ARCHIMEDEAN = ("mp", "mpf", "ExpansionClaim", "shifted_expansion", "verify_expansion")
+_ARCHIMEDEAN = ("shifted_expansion", "verify_expansion")
 
 
 def _archimedean() -> None:
-    """Bind the names in ``_ARCHIMEDEAN``, importing mpmath and ``expansion``.
-    A name already bound is kept, so a wrapper installed around one (by a
-    tracer, before ``main`` runs) stays the one the drivers call."""
-    from mpmath import mp, mpf
-
-    from .expansion import ExpansionClaim, shifted_expansion, verify_expansion
+    """Bind the names in ``_ARCHIMEDEAN``, importing ``expansion``.  A name
+    already bound is kept, so a wrapper installed around one (by a tracer,
+    before ``main`` runs) stays the one the drivers call."""
+    from .expansion import shifted_expansion, verify_expansion
 
     for name in _ARCHIMEDEAN:
         globals().setdefault(name, locals()[name])
@@ -312,7 +310,8 @@ class ClaimsFile:
 
 
 def parse_claims(path: Path | str) -> ClaimsFile:
-    _archimedean()
+    from .expansion import ExpansionClaim
+
     path = Path(path)
     data = _load_json(path)
     where = path.name
@@ -401,7 +400,8 @@ def _run_sum_check(args: argparse.Namespace) -> tuple[int, dict, str]:
     if terms > SUM_TERMS_MAX:
         raise SchemaError(f"sum-check at base {spec.base} and --prec {bits} sums about "
                           f"{terms:.0f} terms, above the bound {SUM_TERMS_MAX}")
-    _archimedean()
+    from mpmath import mp, mpf
+
     value, bound = numeric_sum(spec, bits)
     target = rhs_value(spec, bits)
     with mp.workprec(bits + 16):

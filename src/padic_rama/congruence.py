@@ -6,14 +6,14 @@ term beyond a verified modulus.
 A claim speaks about every prime outside a finite exceptional set, and
 ``_judge`` is the one statement of that set: primes dividing a denominator
 of the series, the scale, or a known coefficient, and primes where a
-template constant has no value, which ``_values`` alone decides (a
+template constant has no value, which ``constant_values`` alone decides (a
 discriminant or conductor prime, or one below a one-digit constant's reach
 p >= k+2).  ``inadmissible`` and ``admissible_primes`` are views of it.
 
 Verify, fit and scan each judge their primes once, dropping the
 inadmissible ones, and read the sums once (``truncated_sums_mod``).  The
 judgement reads each template constant once over the range
-(``constant_digits``: one ``lfunctions.L_p_digits`` pass for a one-digit
+(``constant_values``: one ``lfunctions.L_p_digits`` pass for a one-digit
 constant); every later step takes the values from that table.
 ``_residuals`` (sum minus the known terms) serves every command, and
 ``_read_coefficient`` (one slot's digits -> CRT -> rational) fit and scan.
@@ -72,8 +72,8 @@ class ZetaP:
 @record
 class LQp:
     """L_{D,p}(k) for a discriminant ``QuadCharacter`` accepts other than 1;
-    only its mod-p digit is available, and ``check_L_p`` rejects (D, k) when
-    no prime has one."""
+    only its mod-p digit is available, and (D, k) is rejected when
+    ``check_L_p`` says no prime has one."""
 
     disc: int
     k: int
@@ -82,12 +82,13 @@ class LQp:
         chi = QuadCharacter(self.disc)
         if self.disc == 1:
             raise ValueError("disc 1 is the trivial character: use zeta_p")
-        check_L_p(chi, self.k)
+        if why := check_L_p(chi, self.k):
+            raise PrecisionUnavailable(why)
 
 
 TemplateConstant = Union[One, Kron, ZetaP, LQp]
 ONE_DIGIT = (ZetaP, LQp)  # the constants that carry a single p-adic digit
-Digits = dict[TemplateConstant, dict[int, Union[int, str]]]  # constant_digits per constant
+Digits = dict[TemplateConstant, dict[int, Union[int, Exception]]]  # constant_values per constant
 
 
 def is_structural_zero(constant: TemplateConstant) -> bool:
@@ -96,11 +97,12 @@ def is_structural_zero(constant: TemplateConstant) -> bool:
     return isinstance(constant, ONE_DIGIT) and parity_zero(constant.disc, constant.k)
 
 
-def _values(constant: TemplateConstant,
-            primes: Iterable[int]) -> dict[int, Union[int, Exception]]:
+def constant_values(constant: TemplateConstant,
+                    primes: Iterable[int]) -> dict[int, Union[int, Exception]]:
     """{p: the constant's value at p, or the BadPrime or PrecisionUnavailable
     that says why it has none}: exactly +-1/1 for One/Kron (valid modulo every
-    power of p), and the single mod-p digit for ZetaP/LQp (``L_p_digits``)."""
+    power of p), and the single mod-p digit for ZetaP/LQp (``L_p_digits``):
+    the one place a command evaluates a constant."""
     if isinstance(constant, ONE_DIGIT):
         return L_p_digits(QuadCharacter(constant.disc), constant.k, primes)
     if isinstance(constant, Kron):
@@ -112,19 +114,11 @@ def _values(constant: TemplateConstant,
 
 
 def constant_mod_p(constant: TemplateConstant, p: int) -> int:
-    """``_values`` at the single prime p, raising what it holds instead of a value."""
-    value = _values(constant, [p])[p]
+    """``constant_values`` at the prime p, raising what it holds instead of a value."""
+    value = constant_values(constant, [p])[p]
     if isinstance(value, Exception):
         raise value
     return value
-
-
-def constant_digits(constant: TemplateConstant,
-                    primes: Iterable[int]) -> dict[int, Union[int, str]]:
-    """{p: ``constant_mod_p(constant, p)``, or the message of what it raises
-    at p}: the one place a command evaluates a constant."""
-    return {p: str(v) if isinstance(v, Exception) else v
-            for p, v in _values(constant, primes).items()}
 
 
 @record
@@ -188,7 +182,7 @@ def _judge(spec: SeriesSpec, tpl: ExpansionTemplate,
            primes: Iterable[int]) -> tuple[list[int], dict[int, str], Digits]:
     """The one judgement of a prime range: (the admitted primes, sorted and
     distinct; {p: why p is inadmissible, or ""}; {constant: its
-    ``constant_digits``} at the primes the structural rules pass).  In
+    ``constant_values``} at the primes the structural rules pass).  In
     order, p is inadmissible when it divides a structural denominator of the
     series, the scale, or a known coefficient's denominator, or when a
     template constant has no value at p, in its evaluator's words."""
@@ -199,10 +193,11 @@ def _judge(spec: SeriesSpec, tpl: ExpansionTemplate,
             why = f"p={p} divides the template scale {tpl.scale}"
         reasons[p] = why or next(filter(None, (t.inadmissible(p) for t in tpl.terms)), "")
     checked = [p for p, why in reasons.items() if not why]
-    digits = {c: constant_digits(c, checked)
+    digits = {c: constant_values(c, checked)
               for c in dict.fromkeys(t.constant for t in tpl.terms)}
     for p in checked:
-        reasons[p] = next((d[p] for d in digits.values() if isinstance(d[p], str)), "")
+        reasons[p] = next((str(d[p]) for d in digits.values()
+                           if isinstance(d[p], Exception)), "")
     return [p for p, why in reasons.items() if not why], reasons, digits
 
 
@@ -313,7 +308,7 @@ def _read_coefficient(constant: TemplateConstant, digits: Digits, e: int, w: int
                 f"residual at p={p} has valuation {valuation(r, p)} below the slot p^{e}"
             )
         c = digits[constant][p]
-        if isinstance(c, str) or c % p == 0:
+        if isinstance(c, Exception) or c % p == 0:
             continue  # this prime carries no information for the coefficient
         pw = p**w
         classes.append(ResidueClass(r // p**e * pow(c, -1, pw) % pw, pw))
@@ -503,7 +498,7 @@ def scan_next_term(
                                      note="structurally zero constant"))
             continue
         if cand not in digits:
-            digits[cand] = constant_digits(cand, primes)
+            digits[cand] = constant_values(cand, primes)
         value, used = _read_coefficient(cand, digits, slot, 1, defects)
         fits.append(CandidateFit(constant=cand, coefficient=value, primes_used=used,
                                  note="no bounded rational fits" if value is None else ""))

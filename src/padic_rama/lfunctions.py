@@ -92,15 +92,13 @@ def parity_zero(D: int, k: int) -> bool:
     return (D > 0) == (k % 2 == 0)
 
 
-def check_L_p(chi: QuadCharacter, k: int) -> None:
-    """Raise unless L_p(k, chi) has a digit at some prime: ValueError for
-    k < 1, PrecisionUnavailable for k = 1 with an even character, whose Kummer
-    value needs B_{p-1}, which is not p-integral (for chi_1: the pole of
-    zeta_p at 1)."""
+def check_L_p(chi: QuadCharacter, k: int) -> str:
+    """Why L_p(k, chi) has a digit at no prime, or "" when some prime has one;
+    ValueError for k < 1.  For k = 1 and an even character the Kummer value
+    needs B_{p-1}, which is not p-integral (for chi_1: the pole of zeta_p at 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1 and chi.is_even:
-        raise PrecisionUnavailable("L_p(1) of an even character needs B_{p-1}")
+    return "L_p(1) of an even character needs B_{p-1}" if k == 1 and chi.is_even else ""
 
 
 def _class_sums(b0: int, f: int, e: int, primes: list[int], moduli: list[int]):
@@ -120,20 +118,20 @@ def L_p_digits(chi: QuadCharacter, k: int, primes: Iterable[int]) -> dict[int, i
     one pass up the sorted primes: 0 when ``parity_zero(D, k)``, else
     -B_{m,chi}/m mod p with m = p-k, from class prefix sums (module
     docstring).  BadPrime at every prime dividing the conductor f (2 and 3
-    included), else PrecisionUnavailable below the reach p >= k+2.
+    included), else PrecisionUnavailable where ``check_L_p`` says no prime
+    has one, else PrecisionUnavailable below the reach p >= k+2.
     """
-    f, zero = chi.conductor, parity_zero(chi.D, k)
+    f, zero, nowhere = chi.conductor, parity_zero(chi.D, k), check_L_p(chi, k)
     out: dict[int, int | Exception] = {}
     for p in sorted(set(primes)):
-        try:
-            if f % p == 0:
-                raise BadPrime(f"p={p} divides the conductor {f}")
-            check_L_p(chi, k)
-            if not zero and p < k + 2:
-                raise PrecisionUnavailable(f"L_p({k}) mod {p} needs p >= {k + 2}")
+        if f % p == 0:
+            out[p] = BadPrime(f"p={p} divides the conductor {f}")
+        elif nowhere:
+            out[p] = PrecisionUnavailable(nowhere)
+        elif not zero and p < k + 2:
+            out[p] = PrecisionUnavailable(f"L_p({k}) mod {p} needs p >= {k + 2}")
+        else:
             out[p] = 0
-        except (BadPrime, PrecisionUnavailable) as exc:
-            out[p] = exc
     todo = [] if zero else [p for p, d in out.items() if not isinstance(d, Exception)]
     if f == 1:
         for p, (N, D) in zip(todo, _class_sums(1, 1, k - 1, todo, [p * p for p in todo])):

@@ -555,16 +555,16 @@ def test_each_command_judges_each_prime_once(monkeypatch, tmp_path, argv):
     ["scan", "--spec", "eq6", "--template", SEED_7, "--candidates", "zeta_p:3,one"],
 ], ids=lambda argv: argv[0])
 def test_each_command_reads_each_constant_once(monkeypatch, tmp_path, argv):
-    # one constant_digits read per (constant, prime) in a command: the
+    # one constant_values read per (constant, prime) in a command: the
     # judgement, the rows, the fitted slots and the candidates share one table
-    calls, evaluate = Counter(), congruence.constant_digits
+    calls, evaluate = Counter(), congruence.constant_values
 
     def counted(constant, primes):
         primes = list(primes)
         calls.update((constant, p) for p in primes)
         return evaluate(constant, primes)
 
-    monkeypatch.setattr(congruence, "constant_digits", counted)
+    monkeypatch.setattr(congruence, "constant_values", counted)
     _json_run([*argv, "--primes", "2..100"], tmp_path)
     assert {c for c, p in calls} == {ONE, ZetaP(3)}
     assert set(calls.values()) == {1}

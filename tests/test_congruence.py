@@ -12,8 +12,8 @@ from padic_rama.congruence import (
     LQp,
     TemplateTerm,
     ZetaP,
-    constant_digits,
     constant_mod_p,
+    constant_values,
     fit_unknowns,
     inadmissible,
     is_structural_zero,
@@ -392,18 +392,25 @@ class TestScanNextTerm:
         assert "structurally zero" in report.candidates[0].note
 
 
+def _seen(values):
+    """A ``constant_values`` table with each exception as its class and message."""
+    return {p: (type(v), str(v)) if isinstance(v, Exception) else v
+            for p, v in values.items()}
+
+
+def _alone(constant, p):
+    """``constant_mod_p`` at p, or the class and message of what it raises."""
+    try:
+        return constant_mod_p(constant, p)
+    except (BadPrime, PrecisionUnavailable) as exc:
+        return type(exc), str(exc)
+
+
 class TestConstantModP:
     def test_exact_constants_signed(self):
         assert constant_mod_p(ONE, 7) == 1
         assert constant_mod_p(Kron(5), 7) == -1
         assert constant_mod_p(Kron(5), 11) == 1
-
-    @staticmethod
-    def _want(constant, p):
-        """The oracle's digit of a one-digit constant at p, or the message
-        of why p has none."""
-        want = power_sum_digit(constant.disc, constant.k, p)
-        return want[1] if isinstance(want, tuple) else want
 
     def test_shipped_digits_at_large_primes(self):
         # one pass over an unsorted list with repeats, conductor primes and
@@ -412,19 +419,15 @@ class TestConstantModP:
         large = random.Random(2311).sample(primes_in_range(2000, 10000), 6)
         primes = [*large, 23, 3, 5, large[0], 2, 5, *large[3:]]
         for c in (ZetaP(3), LQp(5, 3), LQp(-4, 4), LQp(-23, 2)):
-            table = constant_digits(c, primes)
+            table = _seen(constant_values(c, primes))
             assert set(table) == set(primes), c
             for p in primes:
-                try:
-                    alone = constant_mod_p(c, p)
-                except (BadPrime, PrecisionUnavailable) as exc:
-                    alone = str(exc)
-                assert table[p] == alone == self._want(c, p), (c, p)
-            assert sum(isinstance(d, str) for d in table.values()) >= 2, c
+                assert table[p] == _alone(c, p) == power_sum_digit(c.disc, c.k, p), (c, p)
+            assert sum(isinstance(d, tuple) for d in table.values()) >= 2, c
         window = primes_in_range(9001, 9200)[:10]
         for c in (LQp(-995, 2), LQp(997, 3)):
-            table = constant_digits(c, window[::-1])
-            assert table == {p: self._want(c, p) for p in window}, c
+            table = _seen(constant_values(c, window[::-1]))
+            assert table == {p: power_sum_digit(c.disc, c.k, p) for p in window}, c
 
 
 class TestAdmissibility:
@@ -487,8 +490,9 @@ class TestAdmissibility:
                 scan_next_term(series["eq6"], t, primes, [ZetaP(3)], max_power=5)
 
     def test_constant_reasons_are_the_evaluators(self):
-        # no rule is stated twice: a constant's table holds the message of
-        # what constant_mod_p raises at p, in its words -- at 2 and 3 as well
+        # no rule is stated twice: a constant's table holds what
+        # constant_mod_p raises at p, its class and its words -- at 2 and 3
+        # as well -- and each prime its own instance
         grid = [ONE, *(Kron(D) for D in (-23, -8, -4, -3, 5, 8, 12)),
                 *(ZetaP(k) for k in range(2, 7))]
         for D in (-24, -23, -8, -4, -3, 5, 8, 12, 13):
@@ -500,16 +504,17 @@ class TestAdmissibility:
         assert len(grid) == 63
         primes = primes_in_range(2, 59)
         for c in grid:
-            table = constant_digits(c, primes)
-            assert list(table) == primes
+            values = constant_values(c, primes)
+            assert list(values) == primes
+            table = _seen(values)
             for p in primes:
-                try:
-                    want = constant_mod_p(c, p)
-                except (BadPrime, PrecisionUnavailable) as exc:
-                    want = str(exc)
-                assert table[p] == want, (c, p)
-        assert constant_digits(LQp(-4, 3), [2]) == {2: "p=2 divides the conductor 4"}
-        assert constant_digits(LQp(-3, 2), [3]) == {3: "p=3 divides the conductor 3"}
+                assert table[p] == _alone(c, p), (c, p)
+            raised = [v for v in values.values() if isinstance(v, Exception)]
+            assert len({id(v) for v in raised}) == len(raised), c
+        assert _seen(constant_values(LQp(-4, 3), [2])) == {
+            2: (BadPrime, "p=2 divides the conductor 4")}
+        assert _seen(constant_values(LQp(-3, 2), [3])) == {
+            3: (BadPrime, "p=3 divides the conductor 3")}
 
     @pytest.mark.parametrize("tname", ["eq5", "eq8", "eq11", "eq12", "eq14", "eq16"])
     @pytest.mark.parametrize("sname", ["eq2", "eq6", "eq9", "gourevitch", "eq15"])

@@ -322,9 +322,12 @@ def _digit(D, k, p):
 
 def _digits(D, k, primes):
     """``L_p_digits`` over the primes in one pass, each exception as its
-    class and message."""
+    class and message; no two primes share an exception instance."""
+    digits = L_p_digits(QuadCharacter(D), k, primes)
+    raised = [d for d in digits.values() if isinstance(d, Exception)]
+    assert len({id(d) for d in raised}) == len(raised), (D, k)
     return {p: (type(d), str(d)) if isinstance(d, Exception) else d
-            for p, d in L_p_digits(QuadCharacter(D), k, primes).items()}
+            for p, d in digits.items()}
 
 
 class TestSieveAgainstPowerSum:
